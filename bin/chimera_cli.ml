@@ -78,10 +78,9 @@ let no_fusion_arg =
 let engine_arg =
   let doc =
     "Solver descent engine: $(b,batched) (default; structure-of-arrays \
-     frontier evaluation), $(b,compiled) (one candidate at a time) or \
-     $(b,reference) (full re-analysis per evaluation).  All engines select \
-     identical plans; the knob exists for benchmarks and equivalence \
-     checks."
+     frontier evaluation) or $(b,reference) (one candidate at a time, \
+     full re-analysis per evaluation).  Both engines select identical \
+     plans; the knob exists for benchmarks and equivalence checks."
   in
   Arg.(value & opt string "batched" & info [ "engine" ] ~doc ~docv:"ENGINE")
 
@@ -99,7 +98,7 @@ let parse_engine s =
   match Chimera.Config.engine_of_string (String.lowercase_ascii s) with
   | Some e -> Ok e
   | None ->
-      Error (`Msg (Printf.sprintf "unknown engine %S (batched|compiled|reference)" s))
+      Error (`Msg (Printf.sprintf "unknown engine %S (batched|reference)" s))
 
 let parse_calibration ~arch s =
   match String.lowercase_ascii s with

@@ -1,6 +1,6 @@
 type solution = { tiling : Tiling.t; movement : Movement.result }
 
-type engine = [ `Batched | `Compiled | `Reference ]
+type engine = [ `Batched | `Reference ]
 
 type verdict =
   | Feasible of solution
@@ -28,7 +28,7 @@ let better a b =
    [Tiling.total_blocks]'s fold (same axis order, same float ops) so
    tie-breaks agree bit-for-bit with the record-based path.
 
-   Three engines share the search logic:
+   Two engines share the search logic:
 
    - [`Batched] (default): the descent submits each axis sweep's whole
      candidate frontier to {!Movement.batch_sweep} — one structure-of-
@@ -40,10 +40,8 @@ let better a b =
      the replay (including the skip of the current value and the
      evolving (dv, blocks) incumbent) lands on the identical final
      tiling.  Lanes are bit-exact with [eval_array], so so is the DV.
-   - [`Compiled]: one {!Movement.eval_array} per candidate — kept as
-     the single-candidate engine the equivalence suite compares
-     against.
-   - [`Reference]: a full Algorithm-1 run per evaluation. *)
+   - [`Reference]: a full Algorithm-1 run per candidate, one at a
+     time — the oracle the equivalence suite compares against. *)
 
 let solve_impl chain ~perm ~capacity_bytes ?(full_tile = []) ?max_tile
     ?min_tile ?(extra_starts = []) ?(boundary_grow = true)
@@ -75,7 +73,7 @@ let solve_impl chain ~perm ~capacity_bytes ?(full_tile = []) ?max_tile
   let batch = lazy (Movement.compile_batch (Lazy.force evaluator)) in
   let eval =
     match engine with
-    | `Batched | `Compiled ->
+    | `Batched ->
         let ev = Lazy.force evaluator in
         fun tiles ->
           incr evals;
@@ -448,12 +446,12 @@ let solve_impl chain ~perm ~capacity_bytes ?(full_tile = []) ?max_tile
         let descend =
           match engine with
           | `Batched -> descend_batched
-          | `Compiled | `Reference -> descend_single
+          | `Reference -> descend_single
         in
         let grow =
           match engine with
           | `Batched -> grow_batched
-          | `Compiled | `Reference -> grow_single
+          | `Reference -> grow_single
         in
         let mid_start =
           let t = Array.copy base in

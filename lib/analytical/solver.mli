@@ -18,19 +18,17 @@
 type solution = { tiling : Tiling.t; movement : Movement.result }
 (** A feasible tiling and its Algorithm-1 analysis. *)
 
-type engine = [ `Batched | `Compiled | `Reference ]
+type engine = [ `Batched | `Reference ]
 (** [`Batched] (default) submits each axis sweep's whole candidate
     frontier to {!Movement.batch_sweep} — one structure-of-arrays pass
     with per-axis partial-product memoization and a per-lane DV cutoff
     at the descent's incumbent — then replays the sequential adoption
     rule over the lanes, so it lands on the identical final tiling as
-    the single-candidate engines (the equivalence suite asserts this
-    with [=]).  [`Compiled] evaluates one candidate at a time on
-    {!Movement.compile}'s evaluator — the single-candidate baseline the
-    batched engine is compared against.  [`Reference] re-runs the full
-    {!Movement.analyze} per evaluation — the pre-compilation behaviour,
-    kept for benchmarks and for the equivalence tests that prove all
-    engines pick identical plans. *)
+    the single-candidate reference engine (the equivalence suite
+    asserts this with [=]).  [`Reference] evaluates one candidate at a
+    time and re-runs the full {!Movement.analyze} per evaluation — the
+    pre-compilation behaviour, kept for benchmarks and for the
+    equivalence tests that prove both engines pick identical plans. *)
 
 type verdict =
   | Feasible of solution

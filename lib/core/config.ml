@@ -42,11 +42,9 @@ let with_only ?(cost_model = false) ?(fusion = false) ?(micro_kernel = false)
 
 let engine_of_string = function
   | "batched" -> Some `Batched
-  | "compiled" -> Some `Compiled
   | "reference" -> Some `Reference
   | _ -> None
 
 let engine_to_string = function
   | `Batched -> "batched"
-  | `Compiled -> "compiled"
   | `Reference -> "reference"

@@ -19,7 +19,7 @@ type t = {
       (** split tiles until there is at least one block per core. *)
   solver_engine : Analytical.Solver.engine;
       (** descent engine for every per-order solve ([`Batched] by
-          default); all engines land on identical plans — the knob
+          default); both engines land on identical plans — the knob
           exists for benchmarks and equivalence checks (the CLI's
           [--engine]). *)
   calibration : Arch.Machine.calibration option;
@@ -45,7 +45,7 @@ val with_only :
     v-M / v-CF... variants of the ablation study. *)
 
 val engine_of_string : string -> Analytical.Solver.engine option
-(** ["batched"], ["compiled"] or ["reference"]; [None] otherwise. *)
+(** ["batched"] or ["reference"]; [None] otherwise. *)
 
 val engine_to_string : Analytical.Solver.engine -> string
 (** Inverse of {!engine_of_string}. *)

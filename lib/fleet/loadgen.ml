@@ -376,19 +376,32 @@ let report_text r =
           ])
     @ [ r.slo_text ])
 
-let loadgen_counter_help = function
-  | "offered" -> "Requests submitted by the load generator."
-  | "answered" -> "Typed answers received (synchronous included)."
-  | "ok_full" -> "Full fused answers."
-  | "degraded" -> "Answers off a degradation-ladder rung."
-  | "shed" -> "Overloaded answers."
-  | "rejected" -> "Invalid-request answers."
-  | "failed" -> "Other typed terminal errors."
-  | "unanswered" -> "Requests still pending at the drain timeout."
-  | "retried" -> "Resubmissions of retryable errors."
-  | "recovered" -> "Logical requests that succeeded after a retry."
-  | "gave_up" -> "Retryable errors answered terminally on an exhausted budget."
-  | _ -> "Load generator counter."
+(* Run counters, declared once: name (the Prometheus name is
+   [chimera_loadgen_<name>]), help text, and the report field. *)
+let run_counters =
+  [
+    ( "offered",
+      "Requests submitted by the load generator.",
+      fun r -> r.offered );
+    ( "answered",
+      "Typed answers received (synchronous included).",
+      fun r -> r.answered );
+    ("ok_full", "Full fused answers.", fun r -> r.ok);
+    ("degraded", "Answers off a degradation-ladder rung.", fun r -> r.degraded);
+    ("shed", "Overloaded answers.", fun r -> r.shed);
+    ("rejected", "Invalid-request answers.", fun r -> r.rejected);
+    ("failed", "Other typed terminal errors.", fun r -> r.failed);
+    ( "unanswered",
+      "Requests still pending at the drain timeout.",
+      fun r -> r.unanswered );
+    ("retried", "Resubmissions of retryable errors.", fun r -> r.retried);
+    ( "recovered",
+      "Logical requests that succeeded after a retry.",
+      fun r -> r.recovered );
+    ( "gave_up",
+      "Retryable errors answered terminally on an exhausted budget.",
+      fun r -> r.gave_up );
+  ]
 
 (* Prometheus exposition of one run: the fleet's merged + per-worker
    series, the router counters, and the client-side latency histogram
@@ -396,59 +409,26 @@ let loadgen_counter_help = function
    one HELP/TYPE header (the chaos kinds are labels under a single
    chimera_chaos_events header, not one header each). *)
 let report_prometheus router r =
-  let buf = Buffer.create 8192 in
-  Buffer.add_string buf
-    (Router.prometheus router ~merged:r.merged ~per_worker:r.per_worker);
-  let bounds = Obs.Histogram.bounds r.latency in
-  let cnts = Obs.Histogram.counts r.latency in
-  Buffer.add_string buf
-    "# HELP chimera_loadgen_latency_ms Client-side first-submit to \
-     terminal-answer latency.\n\
-     # TYPE chimera_loadgen_latency_ms histogram\n";
-  let cum = ref 0 in
-  Array.iteri
-    (fun i c ->
-      cum := !cum + c;
-      let le =
-        if i < Array.length bounds then pr "%g" bounds.(i) else "+Inf"
-      in
-      Buffer.add_string buf
-        (pr "chimera_loadgen_latency_ms_bucket{le=\"%s\"} %d\n" le !cum))
-    cnts;
-  Buffer.add_string buf
-    (pr "chimera_loadgen_latency_ms_sum %g\n" (Obs.Histogram.sum_ms r.latency));
-  Buffer.add_string buf
-    (pr "chimera_loadgen_latency_ms_count %d\n" (Obs.Histogram.count r.latency));
-  List.iter
-    (fun (name, v) ->
-      Buffer.add_string buf
-        (pr
-           "# HELP chimera_loadgen_%s %s\n\
-            # TYPE chimera_loadgen_%s counter\n\
-            chimera_loadgen_%s %d\n"
-           name (loadgen_counter_help name) name name v))
-    [
-      ("offered", r.offered);
-      ("answered", r.answered);
-      ("ok_full", r.ok);
-      ("degraded", r.degraded);
-      ("shed", r.shed);
-      ("rejected", r.rejected);
-      ("failed", r.failed);
-      ("unanswered", r.unanswered);
-      ("retried", r.retried);
-      ("recovered", r.recovered);
-      ("gave_up", r.gave_up);
-    ];
-  (match List.filter (fun (k, _) -> k <> "ticks") r.chaos with
-  | [] -> ()
-  | kinds ->
-      Buffer.add_string buf
-        "# HELP chimera_chaos_events Chaos faults fired, by kind.\n\
-         # TYPE chimera_chaos_events counter\n";
-      List.iter
-        (fun (kind, v) ->
-          Buffer.add_string buf
-            (pr "chimera_chaos_events{kind=\"%s\"} %d\n" kind v))
-        kinds);
-  Buffer.contents buf
+  let family name help kind series = { Obs.Prom.name; help; kind; series } in
+  Router.prometheus router ~merged:r.merged ~per_worker:r.per_worker
+  ^ Obs.Prom.render
+      (family "chimera_loadgen_latency_ms"
+         "Client-side first-submit to terminal-answer latency."
+         Obs.Prom.Histogram
+         [ ([], Obs.Prom.Hist r.latency) ]
+      :: List.map
+           (fun (name, help, get) ->
+             family ("chimera_loadgen_" ^ name) help Obs.Prom.Counter
+               [ ([], Obs.Prom.Int (get r)) ])
+           run_counters
+      @
+      match List.filter (fun (k, _) -> k <> "ticks") r.chaos with
+      | [] -> []
+      | kinds ->
+          [
+            family "chimera_chaos_events" "Chaos faults fired, by kind."
+              Obs.Prom.Counter
+              (List.map
+                 (fun (kind, v) -> ([ ("kind", kind) ], Obs.Prom.Int v))
+                 kinds);
+          ])

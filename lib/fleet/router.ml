@@ -900,22 +900,42 @@ let collect_stats ?(timeout_s = 5.0) t =
   List.iter (fun (_, m) -> Service.Metrics.merge ~into:merged m) per_worker;
   (merged, per_worker)
 
-let counters t =
+(* Router-level counters, declared once: name (the Prometheus name is
+   [chimera_fleet_<name>]), help text, and the field it reads. *)
+let counter_families =
   [
-    ("received", t.received);
-    ("routed", t.routed);
-    ("shed", t.shed);
-    ("rejected_invalid", t.rejected_invalid);
-    ("hot_hits", t.hot_hits);
-    ("admission_degraded", t.admission_degraded);
-    ("protocol_errors", t.protocol_errors);
-    ("worker_restarts", t.worker_restarts);
-    ("health_probes", t.health_probes);
-    ("health_failures", t.health_failures);
-    ("workers_down", t.workers_down);
-    ("deadline_drops", t.deadline_drops);
-    ("chaos_injected", t.chaos_injected);
+    ("received", "Requests received by the router.", fun t -> t.received);
+    ("routed", "Requests forwarded to a worker.", fun t -> t.routed);
+    ("shed", "Requests fast-failed by admission control.", fun t -> t.shed);
+    ( "rejected_invalid",
+      "Requests rejected by front-door validation.",
+      fun t -> t.rejected_invalid );
+    ( "hot_hits",
+      "Requests answered from the router's hot cache.",
+      fun t -> t.hot_hits );
+    ( "admission_degraded",
+      "Requests stamped with a degrade deadline by the soft band.",
+      fun t -> t.admission_degraded );
+    ( "protocol_errors",
+      "Worker protocol violations.",
+      fun t -> t.protocol_errors );
+    ( "worker_restarts",
+      "Worker processes restarted by the supervisor.",
+      fun t -> t.worker_restarts );
+    ("health_probes", "Health probes sent.", fun t -> t.health_probes);
+    ( "health_failures",
+      "Health probes unanswered in time.",
+      fun t -> t.health_failures );
+    ( "workers_down",
+      "Workers permanently removed by the circuit breaker.",
+      fun t -> t.workers_down );
+    ( "deadline_drops",
+      "Workers failed for exceeding the response deadline.",
+      fun t -> t.deadline_drops );
+    ("chaos_injected", "Chaos faults injected.", fun t -> t.chaos_injected);
   ]
+
+let counters t = List.map (fun (name, _, get) -> (name, get t)) counter_families
 
 (* ------------------------------------------------------------------ *)
 (* Per-worker lifecycle (cmd:health / cmd:stats / Prometheus)           *)
@@ -1021,88 +1041,50 @@ let stats_json ?id t ~merged ~per_worker =
         ]
     | _ -> [])
 
-let fleet_counter_help = function
-  | "received" -> "Requests received by the router."
-  | "routed" -> "Requests forwarded to a worker."
-  | "shed" -> "Requests fast-failed by admission control."
-  | "rejected_invalid" -> "Requests rejected by front-door validation."
-  | "hot_hits" -> "Requests answered from the router's hot cache."
-  | "admission_degraded" ->
-      "Requests stamped with a degrade deadline by the soft band."
-  | "protocol_errors" -> "Worker protocol violations."
-  | "worker_restarts" -> "Worker processes restarted by the supervisor."
-  | "health_probes" -> "Health probes sent."
-  | "health_failures" -> "Health probes unanswered in time."
-  | "workers_down" -> "Workers permanently removed by the circuit breaker."
-  | "deadline_drops" -> "Workers failed for exceeding the response deadline."
-  | "chaos_injected" -> "Chaos faults injected."
-  | _ -> "Router counter."
-
 (* One text exposition for the whole fleet: merged unlabelled series
    (true fleet-wide quantiles via histogram merge) grouped with the
-   per-worker labelled series under a single HELP/TYPE header per
-   metric (the exposition format allows at most one per name in a
-   scrape), the router's own counters under a [chimera_fleet_] prefix,
-   and the SLO gauges. *)
+   per-worker labelled series under a single header per metric, the
+   router's own counters under a [chimera_fleet_] prefix, per-slot
+   lifecycle series, and the SLO gauges. *)
 let prometheus t ~merged ~per_worker =
-  let buf = Buffer.create 8192 in
-  Buffer.add_string buf
-    (Service.Metrics.to_prometheus_many
-       (([], merged)
-       :: List.map
-            (fun (id, m) -> ([ ("worker", string_of_int id) ], m))
-            per_worker));
-  List.iter
-    (fun (name, v) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "# HELP chimera_fleet_%s %s\n\
-            # TYPE chimera_fleet_%s counter\n\
-            chimera_fleet_%s %d\n"
-           name (fleet_counter_help name) name name v))
-    (counters t);
-  Buffer.add_string buf
-    (Printf.sprintf
-       "# HELP chimera_fleet_workers Fleet slots (including downed \
-        workers).\n\
-        # TYPE chimera_fleet_workers gauge\nchimera_fleet_workers %d\n"
-       (size t));
-  (* Per-worker lifecycle series, labelled like the per-worker metric
-     series above. *)
-  Buffer.add_string buf
-    "# HELP chimera_fleet_worker_restarts_total Restarts of this worker \
-     slot.\n\
-     # TYPE chimera_fleet_worker_restarts_total counter\n";
-  List.iter
-    (fun ws ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "chimera_fleet_worker_restarts_total{worker=\"%d\"} %d\n" ws.ws_id
-           ws.ws_restarts))
-    (worker_states t);
-  Buffer.add_string buf
-    "# HELP chimera_fleet_worker_up Whether the worker process is alive.\n\
-     # TYPE chimera_fleet_worker_up gauge\n";
-  List.iter
-    (fun ws ->
-      Buffer.add_string buf
-        (Printf.sprintf "chimera_fleet_worker_up{worker=\"%d\"} %d\n" ws.ws_id
-           (if ws.ws_alive then 1 else 0)))
-    (worker_states t);
-  Buffer.add_string buf
-    "# HELP chimera_fleet_worker_permanently_down Whether the circuit \
-     breaker removed this slot.\n\
-     # TYPE chimera_fleet_worker_permanently_down gauge\n";
-  List.iter
-    (fun ws ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "chimera_fleet_worker_permanently_down{worker=\"%d\"} %d\n"
-           ws.ws_id
-           (if ws.ws_permanently_down then 1 else 0)))
-    (worker_states t);
-  Buffer.add_string buf (Obs.Slo.to_prometheus t.slo);
-  Buffer.contents buf
+  let fleet name help kind series =
+    { Obs.Prom.name = "chimera_fleet_" ^ name; help; kind; series }
+  in
+  let per_slot get =
+    List.map
+      (fun ws ->
+        ([ ("worker", string_of_int ws.ws_id) ], Obs.Prom.Int (get ws)))
+      (worker_states t)
+  in
+  let flag b = if b then 1 else 0 in
+  String.concat ""
+    [
+      Service.Metrics.to_prometheus_many
+        (([], merged)
+        :: List.map
+             (fun (id, m) -> ([ ("worker", string_of_int id) ], m))
+             per_worker);
+      Obs.Prom.render
+        (List.map
+           (fun (name, help, get) ->
+             fleet name help Obs.Prom.Counter [ ([], Obs.Prom.Int (get t)) ])
+           counter_families
+        @ [
+            fleet "workers" "Fleet slots (including downed workers)."
+              Obs.Prom.Gauge
+              [ ([], Obs.Prom.Int (size t)) ];
+            fleet "worker_restarts_total" "Restarts of this worker slot."
+              Obs.Prom.Counter
+              (per_slot (fun ws -> ws.ws_restarts));
+            fleet "worker_up" "Whether the worker process is alive."
+              Obs.Prom.Gauge
+              (per_slot (fun ws -> flag ws.ws_alive));
+            fleet "worker_permanently_down"
+              "Whether the circuit breaker removed this slot." Obs.Prom.Gauge
+              (per_slot (fun ws -> flag ws.ws_permanently_down));
+          ]);
+      Obs.Slo.to_prometheus t.slo;
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Prewarm                                                              *)

@@ -258,94 +258,40 @@ let text_of_json json =
 let report_text t =
   match text_of_json (report_json t) with Ok s -> s | Error e -> "slo: " ^ e
 
-(* Prometheus gauges, conformant exposition: one HELP/TYPE pair per
-   metric, every series labelled by objective (and window). *)
-let escape_label v =
-  let buf = Buffer.create (String.length v) in
-  String.iter
-    (function
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c -> Buffer.add_char buf c)
-    v;
-  Buffer.contents buf
-
+(* Prometheus gauges: every series labelled by objective (and window). *)
 let to_prometheus t =
-  let buf = Buffer.create 1024 in
-  let metric name help emit =
-    Buffer.add_string buf (Printf.sprintf "# HELP %s %s\n" name help);
-    Buffer.add_string buf (Printf.sprintf "# TYPE %s gauge\n" name);
-    emit (fun labels v ->
-        let labels =
-          labels
-          |> List.map (fun (k, lv) ->
-                 Printf.sprintf "%s=\"%s\"" k (escape_label lv))
-          |> String.concat ","
-        in
-        Buffer.add_string buf (Printf.sprintf "%s{%s} %.17g\n" name labels v))
-  in
   let rep = report t in
-  metric "chimera_slo_target" "Objective target fraction." (fun series ->
-      List.iter
-        (fun (o, _) -> series [ ("objective", o.o_name) ] o.o_target)
-        rep);
-  metric "chimera_slo_burn_rate"
-    "Error-budget burn rate over the window (1.0 = consuming exactly the \
-     budget)."
-    (fun series ->
-      List.iter
-        (fun (o, windows) ->
-          List.iter
-            (fun r ->
-              series
-                [
-                  ("objective", o.o_name);
-                  ("window", Printf.sprintf "%gs" r.r_window_s);
-                ]
-                r.r_burn)
-            windows)
-        rep);
-  metric "chimera_slo_error_budget_remaining"
-    "Fraction of the window's error budget left (negative = blown)."
-    (fun series ->
-      List.iter
-        (fun (o, windows) ->
-          List.iter
-            (fun r ->
-              series
-                [
-                  ("objective", o.o_name);
-                  ("window", Printf.sprintf "%gs" r.r_window_s);
-                ]
-                r.r_budget_remaining)
-            windows)
-        rep);
-  metric "chimera_slo_window_good" "Good events in the window." (fun series ->
-      List.iter
-        (fun (o, windows) ->
-          List.iter
-            (fun r ->
-              series
-                [
-                  ("objective", o.o_name);
-                  ("window", Printf.sprintf "%gs" r.r_window_s);
-                ]
-                r.r_good)
-            windows)
-        rep);
-  metric "chimera_slo_window_total" "Total events in the window."
-    (fun series ->
-      List.iter
-        (fun (o, windows) ->
-          List.iter
-            (fun r ->
-              series
-                [
-                  ("objective", o.o_name);
-                  ("window", Printf.sprintf "%gs" r.r_window_s);
-                ]
-                r.r_total)
-            windows)
-        rep);
-  Buffer.contents buf
+  let gauge name help series =
+    { Prom.name = "chimera_slo_" ^ name; help; kind = Prom.Gauge; series }
+  in
+  let per_window get =
+    List.concat_map
+      (fun (o, windows) ->
+        List.map
+          (fun r ->
+            ( [
+                ("objective", o.o_name);
+                ("window", Printf.sprintf "%gs" r.r_window_s);
+              ],
+              Prom.Float (get r) ))
+          windows)
+      rep
+  in
+  Prom.render
+    [
+      gauge "target" "Objective target fraction."
+        (List.map
+           (fun (o, _) -> ([ ("objective", o.o_name) ], Prom.Float o.o_target))
+           rep);
+      gauge "burn_rate"
+        "Error-budget burn rate over the window (1.0 = consuming exactly \
+         the budget)."
+        (per_window (fun r -> r.r_burn));
+      gauge "error_budget_remaining"
+        "Fraction of the window's error budget left (negative = blown)."
+        (per_window (fun r -> r.r_budget_remaining));
+      gauge "window_good" "Good events in the window."
+        (per_window (fun r -> r.r_good));
+      gauge "window_total" "Total events in the window."
+        (per_window (fun r -> r.r_total));
+    ]

@@ -67,88 +67,127 @@ let create () =
     verify_ms = Obs.Histogram.create ();
   }
 
-let reset t =
-  t.requests <- 0;
-  t.hits <- 0;
-  t.misses <- 0;
-  t.evictions <- 0;
-  t.planner_solves <- 0;
-  t.degraded <- 0;
-  t.heuristic <- 0;
-  t.failed <- 0;
-  t.invalid_requests <- 0;
-  t.deadline_exceeded <- 0;
-  t.internal_errors <- 0;
-  t.cache_corrupt <- 0;
-  t.cache_entries_skipped <- 0;
-  t.cache_io_retries <- 0;
-  t.cache_entries_migrated <- 0;
-  t.verify_runs <- 0;
-  t.verify_warnings <- 0;
-  t.verify_failures <- 0;
-  t.verify_certified_total <- 0;
-  t.verify_conditional_total <- 0;
-  t.verify_uncertifiable_total <- 0;
-  t.plan_evals_total <- 0;
-  t.plan_perms_pruned_total <- 0;
-  t.trace_spans_dropped <- 0;
-  t.trace_ring_evictions <- 0;
-  Obs.Histogram.reset t.solve_ms;
-  Obs.Histogram.reset t.cache_lookup_ms;
-  Obs.Histogram.reset t.perm_solve_ms;
-  Obs.Histogram.reset t.tuner_trial_ms;
-  Obs.Histogram.reset t.codegen_ms;
-  Obs.Histogram.reset t.verify_ms
+(* The registry: each metric family declared once — wire/JSON name,
+   help text and field accessor (histograms also name the trace span
+   that feeds them).  Reset, merge, the wire form, JSON, the table and
+   the Prometheus exposition all walk this list in order; a new metric
+   needs its record field, its [create] initialiser and one line here. *)
+type family = { name : string; help : string; kind : kind }
 
-(* The value type is part of each metric's registration: renderers
-   dispatch on the constructor, so renaming a metric can't silently
-   switch its formatting (the old [float_valued] name-list bug). *)
-type value =
-  | Counter of int
-  | Gauge of float
-  | Hist of Obs.Histogram.t
-
-let fields t =
-  [
-    ("requests", Counter t.requests);
-    ("cache_hits", Counter t.hits);
-    ("cache_misses", Counter t.misses);
-    ("evictions", Counter t.evictions);
-    ("planner_solves", Counter t.planner_solves);
-    ("degraded", Counter t.degraded);
-    ("heuristic", Counter t.heuristic);
-    ("failed", Counter t.failed);
-    ("invalid_requests", Counter t.invalid_requests);
-    ("deadline_exceeded", Counter t.deadline_exceeded);
-    ("internal_errors", Counter t.internal_errors);
-    ("cache_corrupt", Counter t.cache_corrupt);
-    ("cache_entries_skipped", Counter t.cache_entries_skipped);
-    ("cache_io_retries", Counter t.cache_io_retries);
-    ("cache_entries_migrated", Counter t.cache_entries_migrated);
-    ("verify_runs", Counter t.verify_runs);
-    ("verify_warnings", Counter t.verify_warnings);
-    ("verify_failures", Counter t.verify_failures);
-    ("verify_certified_total", Counter t.verify_certified_total);
-    ("verify_conditional_total", Counter t.verify_conditional_total);
-    ("verify_uncertifiable_total", Counter t.verify_uncertifiable_total);
-    ("plan_evals_total", Counter t.plan_evals_total);
-    ("plan_perms_pruned_total", Counter t.plan_perms_pruned_total);
-    ("trace_spans_dropped", Counter t.trace_spans_dropped);
-    ("trace_ring_evictions", Counter t.trace_ring_evictions);
-    ("solve_ms", Hist t.solve_ms);
-    ("cache_lookup_ms", Hist t.cache_lookup_ms);
-    ("perm_solve_ms", Hist t.perm_solve_ms);
-    ("tuner_trial_ms", Hist t.tuner_trial_ms);
-    ("codegen_ms", Hist t.codegen_ms);
-    ("verify_ms", Hist t.verify_ms);
-    (* Deprecated: float totals derived from the solve histogram, kept
-       for one version so existing tooling keeps reading them. *)
-    ("compile_seconds", Gauge (Obs.Histogram.sum_ms t.solve_ms /. 1000.0));
-    ("plan_solve_ms_total", Gauge (Obs.Histogram.sum_ms t.solve_ms));
-  ]
+and kind =
+  | Counter of { get : t -> int; set : t -> int -> unit }
+  | Histogram of { span : string; get : t -> Obs.Histogram.t }
+      (** fed by the trace spans named [span]. *)
+  | Gauge of (t -> float)  (** derived, never on the wire. *)
 
 let compile_seconds t = Obs.Histogram.sum_ms t.solve_ms /. 1000.0
 let plan_solve_ms_total t = Obs.Histogram.sum_ms t.solve_ms
+
+let families =
+  let c name help get set = { name; help; kind = Counter { get; set } } in
+  let h name help span get = { name; help; kind = Histogram { span; get } } in
+  [
+    c "requests" "Optimization requests processed."
+      (fun t -> t.requests) (fun t n -> t.requests <- n);
+    c "cache_hits" "Plan-cache hits."
+      (fun t -> t.hits) (fun t n -> t.hits <- n);
+    c "cache_misses" "Plan-cache misses."
+      (fun t -> t.misses) (fun t n -> t.misses <- n);
+    c "evictions" "Plan-cache LRU evictions."
+      (fun t -> t.evictions) (fun t n -> t.evictions <- n);
+    c "planner_solves" "Sub-chains actually planned."
+      (fun t -> t.planner_solves) (fun t n -> t.planner_solves <- n);
+    c "degraded" "Requests served below the requested degradation rung."
+      (fun t -> t.degraded) (fun t n -> t.degraded <- n);
+    c "heuristic" "Requests served by heuristic tiling (last rung)."
+      (fun t -> t.heuristic) (fun t n -> t.heuristic <- n);
+    c "failed" "Requests that produced no plan."
+      (fun t -> t.failed) (fun t n -> t.failed <- n);
+    c "invalid_requests" "Requests rejected by validation."
+      (fun t -> t.invalid_requests) (fun t n -> t.invalid_requests <- n);
+    c "deadline_exceeded" "Requests whose planning budget expired."
+      (fun t -> t.deadline_exceeded) (fun t n -> t.deadline_exceeded <- n);
+    c "internal_errors" "Unexpected errors answered as internal."
+      (fun t -> t.internal_errors) (fun t n -> t.internal_errors <- n);
+    c "cache_corrupt" "Persisted cache files discarded on load."
+      (fun t -> t.cache_corrupt) (fun t n -> t.cache_corrupt <- n);
+    c "cache_entries_skipped"
+      "Cache frames dropped on load (CRC failure or torn write)."
+      (fun t -> t.cache_entries_skipped)
+      (fun t n -> t.cache_entries_skipped <- n);
+    c "cache_io_retries" "Cache persistence attempts retried after I/O faults."
+      (fun t -> t.cache_io_retries) (fun t n -> t.cache_io_retries <- n);
+    c "cache_entries_migrated"
+      "Entries skipped on load from older cache file versions."
+      (fun t -> t.cache_entries_migrated)
+      (fun t n -> t.cache_entries_migrated <- n);
+    c "verify_runs" "Responses run through the static-analysis passes."
+      (fun t -> t.verify_runs) (fun t n -> t.verify_runs <- n);
+    c "verify_warnings" "Verified responses with warnings only."
+      (fun t -> t.verify_warnings) (fun t n -> t.verify_warnings <- n);
+    c "verify_failures" "Verified responses with error-severity diagnostics."
+      (fun t -> t.verify_failures) (fun t n -> t.verify_failures <- n);
+    c "verify_certified_total"
+      "Verified responses with a checked unconditional certificate."
+      (fun t -> t.verify_certified_total)
+      (fun t n -> t.verify_certified_total <- n);
+    c "verify_conditional_total"
+      "Verified responses served on a conditional certificate."
+      (fun t -> t.verify_conditional_total)
+      (fun t n -> t.verify_conditional_total <- n);
+    c "verify_uncertifiable_total"
+      "Verified responses with at least one uncertified plan."
+      (fun t -> t.verify_uncertifiable_total)
+      (fun t n -> t.verify_uncertifiable_total <- n);
+    c "plan_evals_total" "DV/MU cost-model evaluations."
+      (fun t -> t.plan_evals_total) (fun t n -> t.plan_evals_total <- n);
+    c "plan_perms_pruned_total"
+      "Execution orders skipped by branch-and-bound pruning."
+      (fun t -> t.plan_perms_pruned_total)
+      (fun t n -> t.plan_perms_pruned_total <- n);
+    c "trace_spans_dropped"
+      "Spans discarded because a request trace hit its max_spans bound."
+      (fun t -> t.trace_spans_dropped) (fun t n -> t.trace_spans_dropped <- n);
+    c "trace_ring_evictions"
+      "Buffered traces overwritten in the bounded serve-side rings."
+      (fun t -> t.trace_ring_evictions)
+      (fun t n -> t.trace_ring_evictions <- n);
+    h "solve_ms" "End-to-end planning latency of cache misses (ms)."
+      "solve" (fun t -> t.solve_ms);
+    h "cache_lookup_ms" "Plan-cache probe latency (ms)."
+      "cache.lookup" (fun t -> t.cache_lookup_ms);
+    h "perm_solve_ms" "Per-execution-order solver descent latency (ms)."
+      "order" (fun t -> t.perm_solve_ms);
+    h "tuner_trial_ms" "Per-trial tuner measurement latency (ms)."
+      "tuner.trial" (fun t -> t.tuner_trial_ms);
+    h "codegen_ms" "Kernel materialization latency (ms)."
+      "codegen" (fun t -> t.codegen_ms);
+    h "verify_ms" "Static-analysis verification latency (ms)."
+      "verify" (fun t -> t.verify_ms);
+    (* Deprecated: float totals derived from the solve histogram, kept
+       for one version so existing tooling keeps reading them. *)
+    { name = "compile_seconds"; help = "Deprecated: sum(solve_ms)/1000.";
+      kind = Gauge compile_seconds };
+    { name = "plan_solve_ms_total"; help = "Deprecated: sum(solve_ms).";
+      kind = Gauge plan_solve_ms_total };
+  ]
+
+let value t f =
+  match f.kind with
+  | Counter c -> Obs.Prom.Int (c.get t)
+  | Histogram h -> Obs.Prom.Hist (h.get t)
+  | Gauge get -> Obs.Prom.Fixed (get t)
+
+let fields t = List.map (fun f -> (f.name, value t f)) families
+
+let reset t =
+  List.iter
+    (fun f ->
+      match f.kind with
+      | Counter c -> c.set t 0
+      | Histogram h -> Obs.Histogram.reset (h.get t)
+      | Gauge _ -> ())
+    families
 
 (* ------------------------------------------------------------------ *)
 (* Fleet aggregation: merge and the lossless wire form                  *)
@@ -158,132 +197,61 @@ let plan_solve_ms_total t = Obs.Histogram.sum_ms t.solve_ms
    layouts, see Obs.Histogram.merge): aggregating N workers' metrics
    equals one worker having served the pooled stream. *)
 let merge ~into src =
-  into.requests <- into.requests + src.requests;
-  into.hits <- into.hits + src.hits;
-  into.misses <- into.misses + src.misses;
-  into.evictions <- into.evictions + src.evictions;
-  into.planner_solves <- into.planner_solves + src.planner_solves;
-  into.degraded <- into.degraded + src.degraded;
-  into.heuristic <- into.heuristic + src.heuristic;
-  into.failed <- into.failed + src.failed;
-  into.invalid_requests <- into.invalid_requests + src.invalid_requests;
-  into.deadline_exceeded <- into.deadline_exceeded + src.deadline_exceeded;
-  into.internal_errors <- into.internal_errors + src.internal_errors;
-  into.cache_corrupt <- into.cache_corrupt + src.cache_corrupt;
-  into.cache_entries_skipped <-
-    into.cache_entries_skipped + src.cache_entries_skipped;
-  into.cache_io_retries <- into.cache_io_retries + src.cache_io_retries;
-  into.cache_entries_migrated <-
-    into.cache_entries_migrated + src.cache_entries_migrated;
-  into.verify_runs <- into.verify_runs + src.verify_runs;
-  into.verify_warnings <- into.verify_warnings + src.verify_warnings;
-  into.verify_failures <- into.verify_failures + src.verify_failures;
-  into.verify_certified_total <-
-    into.verify_certified_total + src.verify_certified_total;
-  into.verify_conditional_total <-
-    into.verify_conditional_total + src.verify_conditional_total;
-  into.verify_uncertifiable_total <-
-    into.verify_uncertifiable_total + src.verify_uncertifiable_total;
-  into.plan_evals_total <- into.plan_evals_total + src.plan_evals_total;
-  into.plan_perms_pruned_total <-
-    into.plan_perms_pruned_total + src.plan_perms_pruned_total;
-  into.trace_spans_dropped <-
-    into.trace_spans_dropped + src.trace_spans_dropped;
-  into.trace_ring_evictions <-
-    into.trace_ring_evictions + src.trace_ring_evictions;
-  Obs.Histogram.merge ~into:into.solve_ms src.solve_ms;
-  Obs.Histogram.merge ~into:into.cache_lookup_ms src.cache_lookup_ms;
-  Obs.Histogram.merge ~into:into.perm_solve_ms src.perm_solve_ms;
-  Obs.Histogram.merge ~into:into.tuner_trial_ms src.tuner_trial_ms;
-  Obs.Histogram.merge ~into:into.codegen_ms src.codegen_ms;
-  Obs.Histogram.merge ~into:into.verify_ms src.verify_ms
+  List.iter
+    (fun f ->
+      match f.kind with
+      | Counter c -> c.set into (c.get into + c.get src)
+      | Histogram h -> Obs.Histogram.merge ~into:(h.get into) (h.get src)
+      | Gauge _ -> ())
+    families
 
 (* The wire form a worker answers to {"cmd": "stats", "full": true}:
    counters as ints, histograms in their full-bucket wire form (see
-   Obs.Histogram.to_wire_json).  The derived gauges are omitted — the
-   receiver re-derives them from the merged solve histogram. *)
+   Obs.Histogram.to_wire_json). *)
 let to_wire_json t =
   Util.Json.Obj
     (List.filter_map
-       (fun (name, v) ->
-         match v with
-         | Counter n -> Some (name, Util.Json.Int n)
-         | Gauge _ -> None
-         | Hist h -> Some (name, Obs.Histogram.to_wire_json h))
-       (fields t))
+       (fun f ->
+         match f.kind with
+         | Counter c -> Some (f.name, Util.Json.Int (c.get t))
+         | Histogram h -> Some (f.name, Obs.Histogram.to_wire_json (h.get t))
+         | Gauge _ -> None)
+       families)
 
 let of_wire_json json =
   let t = create () in
-  let counter name set =
-    match Option.bind (Util.Json.member name json) Util.Json.to_int_opt with
-    | Some n when n >= 0 -> Ok (set n)
-    | Some _ -> Error (Printf.sprintf "metrics: negative counter %s" name)
-    | None -> Error (Printf.sprintf "metrics: missing counter %s" name)
+  let decode f =
+    match f.kind with
+    | Counter c -> (
+        match
+          Option.bind (Util.Json.member f.name json) Util.Json.to_int_opt
+        with
+        | Some n when n >= 0 -> Ok (c.set t n)
+        | Some _ -> Error (Printf.sprintf "metrics: negative counter %s" f.name)
+        | None -> Error (Printf.sprintf "metrics: missing counter %s" f.name))
+    | Histogram h -> (
+        match Util.Json.member f.name json with
+        | None -> Error (Printf.sprintf "metrics: missing histogram %s" f.name)
+        | Some j -> (
+            match Obs.Histogram.of_wire_json j with
+            | Error e -> Error (Printf.sprintf "metrics: %s: %s" f.name e)
+            | Ok src -> (
+                match Obs.Histogram.merge ~into:(h.get t) src with
+                | () -> Ok ()
+                | exception Invalid_argument e ->
+                    Error (Printf.sprintf "metrics: %s: %s" f.name e))))
+    | Gauge _ -> Ok ()
   in
-  let hist name into =
-    match Util.Json.member name json with
-    | None -> Error (Printf.sprintf "metrics: missing histogram %s" name)
-    | Some j -> (
-        match Obs.Histogram.of_wire_json j with
-        | Error e -> Error (Printf.sprintf "metrics: %s: %s" name e)
-        | Ok h -> (
-            match Obs.Histogram.merge ~into h with
-            | () -> Ok ()
-            | exception Invalid_argument e ->
-                Error (Printf.sprintf "metrics: %s: %s" name e)))
-  in
-  let ( let* ) = Result.bind in
-  let* () = counter "requests" (fun n -> t.requests <- n) in
-  let* () = counter "cache_hits" (fun n -> t.hits <- n) in
-  let* () = counter "cache_misses" (fun n -> t.misses <- n) in
-  let* () = counter "evictions" (fun n -> t.evictions <- n) in
-  let* () = counter "planner_solves" (fun n -> t.planner_solves <- n) in
-  let* () = counter "degraded" (fun n -> t.degraded <- n) in
-  let* () = counter "heuristic" (fun n -> t.heuristic <- n) in
-  let* () = counter "failed" (fun n -> t.failed <- n) in
-  let* () = counter "invalid_requests" (fun n -> t.invalid_requests <- n) in
-  let* () = counter "deadline_exceeded" (fun n -> t.deadline_exceeded <- n) in
-  let* () = counter "internal_errors" (fun n -> t.internal_errors <- n) in
-  let* () = counter "cache_corrupt" (fun n -> t.cache_corrupt <- n) in
-  let* () =
-    counter "cache_entries_skipped" (fun n -> t.cache_entries_skipped <- n)
-  in
-  let* () = counter "cache_io_retries" (fun n -> t.cache_io_retries <- n) in
-  let* () =
-    counter "cache_entries_migrated" (fun n -> t.cache_entries_migrated <- n)
-  in
-  let* () = counter "verify_runs" (fun n -> t.verify_runs <- n) in
-  let* () = counter "verify_warnings" (fun n -> t.verify_warnings <- n) in
-  let* () = counter "verify_failures" (fun n -> t.verify_failures <- n) in
-  let* () =
-    counter "verify_certified_total" (fun n -> t.verify_certified_total <- n)
-  in
-  let* () =
-    counter "verify_conditional_total" (fun n ->
-        t.verify_conditional_total <- n)
-  in
-  let* () =
-    counter "verify_uncertifiable_total" (fun n ->
-        t.verify_uncertifiable_total <- n)
-  in
-  let* () = counter "plan_evals_total" (fun n -> t.plan_evals_total <- n) in
-  let* () =
-    counter "plan_perms_pruned_total" (fun n ->
-        t.plan_perms_pruned_total <- n)
-  in
-  let* () =
-    counter "trace_spans_dropped" (fun n -> t.trace_spans_dropped <- n)
-  in
-  let* () =
-    counter "trace_ring_evictions" (fun n -> t.trace_ring_evictions <- n)
-  in
-  let* () = hist "solve_ms" t.solve_ms in
-  let* () = hist "cache_lookup_ms" t.cache_lookup_ms in
-  let* () = hist "perm_solve_ms" t.perm_solve_ms in
-  let* () = hist "tuner_trial_ms" t.tuner_trial_ms in
-  let* () = hist "codegen_ms" t.codegen_ms in
-  let* () = hist "verify_ms" t.verify_ms in
-  Ok t
+  List.fold_left (fun acc f -> Result.bind acc (fun () -> decode f)) (Ok ())
+    families
+  |> Result.map (fun () -> t)
+
+(* Span name -> histogram, for routing finished traces. *)
+let span_histograms =
+  List.filter_map
+    (fun f ->
+      match f.kind with Histogram h -> Some (h.span, h.get) | _ -> None)
+    families
 
 (* Route a finished request trace into the latency histograms.  Called
    exactly once per trace, on the main domain, after pooled planning
@@ -291,15 +259,15 @@ let of_wire_json json =
 let observe_trace t trace =
   List.iter
     (fun (s : Obs.Trace.span) ->
-      let ms = float_of_int s.Obs.Trace.dur_us /. 1000.0 in
-      match s.Obs.Trace.name with
-      | "solve" -> Obs.Histogram.observe t.solve_ms ms
-      | "cache.lookup" -> Obs.Histogram.observe t.cache_lookup_ms ms
-      | "order" -> Obs.Histogram.observe t.perm_solve_ms ms
-      | "tuner.trial" -> Obs.Histogram.observe t.tuner_trial_ms ms
-      | "codegen" -> Obs.Histogram.observe t.codegen_ms ms
-      | "verify" -> Obs.Histogram.observe t.verify_ms ms
-      | _ -> ())
+      match
+        List.find_opt
+          (fun (span, _) -> String.equal span s.Obs.Trace.name)
+          span_histograms
+      with
+      | Some (_, get) ->
+          Obs.Histogram.observe (get t)
+            (float_of_int s.Obs.Trace.dur_us /. 1000.0)
+      | None -> ())
     (Obs.Trace.spans trace)
 
 let to_table t =
@@ -308,9 +276,9 @@ let to_table t =
     (fun (name, v) ->
       let cell =
         match v with
-        | Counter n -> string_of_int n
-        | Gauge f -> Printf.sprintf "%.3f" f
-        | Hist h ->
+        | Obs.Prom.Int n -> string_of_int n
+        | Obs.Prom.Fixed f | Obs.Prom.Float f -> Printf.sprintf "%.3f" f
+        | Obs.Prom.Hist h ->
             Printf.sprintf "n=%d p50=%.3fms p99=%.3fms"
               (Obs.Histogram.count h)
               (Obs.Histogram.quantile h 0.5)
@@ -325,151 +293,31 @@ let to_json t =
     (List.map
        (fun (name, v) ->
          match v with
-         | Counter n -> (name, Util.Json.Int n)
-         | Gauge f -> (name, Util.Json.Float f)
-         | Hist h -> (name, Obs.Histogram.summary_json h))
+         | Obs.Prom.Int n -> (name, Util.Json.Int n)
+         | Obs.Prom.Fixed f | Obs.Prom.Float f -> (name, Util.Json.Float f)
+         | Obs.Prom.Hist h -> (name, Obs.Histogram.summary_json h))
        (fields t))
 
-(* Prometheus text exposition.  Counters become [chimera_<name>],
-   histograms the conventional _bucket{le=...}/_sum/_count triple with
-   cumulative bucket counts.  The exposition format requires at most
-   one [# HELP]/[# TYPE] pair per metric name in a scrape, so
-   multi-instance expositions (merged fleet metrics next to per-worker
-   labelled series) go through {!to_prometheus_many}, which groups all
-   instances' series under a single header per metric. *)
-let escape_label_value v =
-  let buf = Buffer.create (String.length v) in
-  String.iter
-    (function
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c -> Buffer.add_char buf c)
-    v;
-  Buffer.contents buf
-
-let help name =
-  match name with
-  | "requests" -> "Optimization requests processed."
-  | "cache_hits" -> "Plan-cache hits."
-  | "cache_misses" -> "Plan-cache misses."
-  | "evictions" -> "Plan-cache LRU evictions."
-  | "planner_solves" -> "Sub-chains actually planned."
-  | "degraded" -> "Requests served below the requested degradation rung."
-  | "heuristic" -> "Requests served by heuristic tiling (last rung)."
-  | "failed" -> "Requests that produced no plan."
-  | "invalid_requests" -> "Requests rejected by validation."
-  | "deadline_exceeded" -> "Requests whose planning budget expired."
-  | "internal_errors" -> "Unexpected errors answered as internal."
-  | "cache_corrupt" -> "Persisted cache files discarded on load."
-  | "cache_entries_skipped" ->
-      "Cache frames dropped on load (CRC failure or torn write)."
-  | "cache_io_retries" -> "Cache persistence attempts retried after I/O faults."
-  | "cache_entries_migrated" ->
-      "Entries skipped on load from older cache file versions."
-  | "verify_runs" -> "Responses run through the static-analysis passes."
-  | "verify_warnings" -> "Verified responses with warnings only."
-  | "verify_failures" ->
-      "Verified responses with error-severity diagnostics."
-  | "verify_certified_total" ->
-      "Verified responses with a checked unconditional certificate."
-  | "verify_conditional_total" ->
-      "Verified responses served on a conditional certificate."
-  | "verify_uncertifiable_total" ->
-      "Verified responses with at least one uncertified plan."
-  | "plan_evals_total" -> "DV/MU cost-model evaluations."
-  | "plan_perms_pruned_total" ->
-      "Execution orders skipped by branch-and-bound pruning."
-  | "trace_spans_dropped" ->
-      "Spans discarded because a request trace hit its max_spans bound."
-  | "trace_ring_evictions" ->
-      "Buffered traces overwritten in the bounded serve-side rings."
-  | "solve_ms" -> "End-to-end planning latency of cache misses (ms)."
-  | "cache_lookup_ms" -> "Plan-cache probe latency (ms)."
-  | "perm_solve_ms" -> "Per-execution-order solver descent latency (ms)."
-  | "tuner_trial_ms" -> "Per-trial tuner measurement latency (ms)."
-  | "codegen_ms" -> "Kernel materialization latency (ms)."
-  | "verify_ms" -> "Static-analysis verification latency (ms)."
-  | "compile_seconds" -> "Deprecated: sum(solve_ms)/1000."
-  | "plan_solve_ms_total" -> "Deprecated: sum(solve_ms)."
-  | _ -> "Chimera service metric."
-
-let escape_help v =
-  let buf = Buffer.create (String.length v) in
-  String.iter
-    (function
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c -> Buffer.add_char buf c)
-    v;
-  Buffer.contents buf
-
+(* Prometheus text exposition: one [chimera_<name>] family per
+   registered metric, each instance's series grouped under it. *)
 let to_prometheus_many instances =
-  match instances with
-  | [] -> ""
-  | (_, first) :: _ ->
-      let buf = Buffer.create 4096 in
-      let line fmt =
-        Printf.ksprintf
-          (fun s ->
-            Buffer.add_string buf s;
-            Buffer.add_char buf '\n')
-          fmt
-      in
-      let label_body labels =
-        match
-          List.map
-            (fun (k, v) ->
-              Printf.sprintf "%s=\"%s\"" k (escape_label_value v))
-            labels
-        with
-        | [] -> ""
-        | parts -> "{" ^ String.concat "," parts ^ "}"
-      in
-      (* [fields] always returns the same metrics in the same order, so
-         walking the first instance's field list names every metric;
-         each instance's series for that metric are grouped under one
-         HELP/TYPE header. *)
-      List.iteri
-        (fun fi (name, v0) ->
-          let metric = "chimera_" ^ name in
-          let ty =
-            match v0 with
-            | Counter _ -> "counter"
-            | Gauge _ -> "gauge"
-            | Hist _ -> "histogram"
-          in
-          line "# HELP %s %s" metric (escape_help (help name));
-          line "# TYPE %s %s" metric ty;
-          List.iter
-            (fun (labels, t) ->
-              match List.nth (fields t) fi with
-              | _, Counter n -> line "%s%s %d" metric (label_body labels) n
-              | _, Gauge f ->
-                  line "%s%s %s" metric (label_body labels)
-                    (Printf.sprintf "%.6f" f)
-              | _, Hist h ->
-                  let bounds = Obs.Histogram.bounds h in
-                  let counts = Obs.Histogram.counts h in
-                  let cum = ref 0 in
-                  Array.iteri
-                    (fun i upper ->
-                      cum := !cum + counts.(i);
-                      line "%s_bucket%s %d" metric
-                        (label_body
-                           (labels @ [ ("le", Printf.sprintf "%.9g" upper) ]))
-                        !cum)
-                    bounds;
-                  line "%s_bucket%s %d" metric
-                    (label_body (labels @ [ ("le", "+Inf") ]))
-                    (Obs.Histogram.count h);
-                  line "%s_sum%s %.6f" metric (label_body labels)
-                    (Obs.Histogram.sum_ms h);
-                  line "%s_count%s %d" metric (label_body labels)
-                    (Obs.Histogram.count h))
-            instances)
-        (fields first);
-      Buffer.contents buf
+  if instances = [] then ""
+  else
+    Obs.Prom.render
+      (List.map
+         (fun f ->
+           {
+             Obs.Prom.name = "chimera_" ^ f.name;
+             help = f.help;
+             kind =
+               (match f.kind with
+               | Counter _ -> Obs.Prom.Counter
+               | Histogram _ -> Obs.Prom.Histogram
+               | Gauge _ -> Obs.Prom.Gauge);
+             series =
+               List.map (fun (labels, t) -> (labels, value t f)) instances;
+           })
+         families)
 
 let to_prometheus ?(labels = []) t = to_prometheus_many [ (labels, t) ]
 

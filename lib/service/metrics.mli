@@ -93,17 +93,27 @@ val create : unit -> t
 
 val reset : t -> unit
 
-(** Every metric registers its value type; renderers dispatch on the
-    constructor, so a renamed metric can never be misformatted. *)
-type value =
-  | Counter of int
-  | Gauge of float  (** derived/deprecated float totals *)
-  | Hist of Obs.Histogram.t
+(** One declaration per metric family: its wire/JSON name (the
+    Prometheus name is [chimera_<name>]), its [# HELP] text and how to
+    read it from {!t}.  Reset, merge, the wire form, JSON, the table
+    and the exposition are all derived from {!families}. *)
+type family = { name : string; help : string; kind : kind }
 
-val fields : t -> (string * value) list
-(** All metrics in render order.  Includes the deprecated
-    [compile_seconds] / [plan_solve_ms_total] gauges, derived from the
-    solve histogram's sum, kept for one version. *)
+and kind =
+  | Counter of { get : t -> int; set : t -> int -> unit }
+  | Histogram of { span : string; get : t -> Obs.Histogram.t }
+      (** fed by {!observe_trace} from the trace spans named [span]. *)
+  | Gauge of (t -> float)
+      (** derived from other fields; absent from the wire form. *)
+
+val families : family list
+(** Every metric, in render order: counters, latency histograms, then
+    the deprecated [compile_seconds] / [plan_solve_ms_total] gauges
+    (derived from the solve histogram's sum, kept for one version). *)
+
+val fields : t -> (string * Obs.Prom.value) list
+(** Each family's current value, in {!families} order: counters as
+    [Int], histograms as [Hist], gauges as [Fixed]. *)
 
 val compile_seconds : t -> float
 (** Deprecated alias: [sum(solve_ms) / 1000]. *)
@@ -112,9 +122,9 @@ val plan_solve_ms_total : t -> float
 (** Deprecated alias: [sum(solve_ms)]. *)
 
 val observe_trace : t -> Obs.Trace.t -> unit
-(** Fold a finished request trace into the latency histograms (span
-    names [solve], [cache.lookup], [order], [tuner.trial], [codegen],
-    [verify]).  Call exactly once per trace, from one domain. *)
+(** Fold a finished request trace into the latency histograms, routing
+    each span by its registered span name.  Call exactly once per
+    trace, from one domain. *)
 
 val to_table : t -> Util.Table.t
 (** Two-column (counter, value) rendering; histograms shown as
@@ -140,9 +150,6 @@ val to_prometheus_many : ((string * string) list * t) list -> string
     labelled ones must group them.  Emits, for each metric, one header
     followed by that metric's series from every [(labels, t)] instance
     in order. *)
-
-val help : string -> string
-(** One-line [# HELP] text for a {!fields} metric name. *)
 
 val merge : into:t -> t -> unit
 (** Add [src]'s counters into [into] and losslessly merge its latency

@@ -17,6 +17,17 @@ let check_raises_invalid msg f =
 let case name f = Alcotest.test_case name `Quick f
 let slow_case name f = Alcotest.test_case name `Slow f
 
+(* dune runs the suite from the test directory ([fixtures/] is staged
+   next to the binary), but a bare [dune exec] from the repo root does
+   not — resolve against both so either invocation works. *)
+let fixture name =
+  let local = Filename.concat "fixtures" name in
+  if Sys.file_exists local then local
+  else Filename.concat (Filename.concat "test" "fixtures") name
+
+let read_fixture name =
+  In_channel.with_open_bin (fixture name) In_channel.input_all
+
 (* A small GEMM chain that exercises every code path cheaply. *)
 let small_gemm_chain ?(softmax = false) () =
   Ir.Chain.batch_gemm_chain ~name:"small-gemm" ~batch:2 ~m:12 ~n:6 ~k:5 ~l:10

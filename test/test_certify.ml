@@ -731,14 +731,6 @@ let rm_rf dir =
     Sys.rmdir dir
   end
 
-(* dune runs the suite from the test directory ([fixtures/] is staged
-   next to the binary), but a bare [dune exec] from the repo root does
-   not — resolve against both so either invocation works. *)
-let fixture name =
-  let local = Filename.concat "fixtures" name in
-  if Sys.file_exists local then local
-  else Filename.concat (Filename.concat "test" "fixtures") name
-
 let copy_file src dst =
   let ic = open_in_bin src in
   let data = really_input_string ic (in_channel_length ic) in

@@ -349,8 +349,75 @@ let counter router name =
   | Some v -> v
   | None -> Alcotest.failf "no router counter %S" name
 
-let with_router ?cfg cmds f =
-  let router = Fleet.Router.create ?cfg cmds in
+(* The exposition format's conformance rules, line by line: one HELP
+   and one TYPE per metric name, every series line under a declared
+   metric (histogram series under their base name), and each name in
+   [present] declared. *)
+let check_conformant ?(present = []) text =
+  let lines = String.split_on_char '\n' text in
+  let name_after prefix line =
+    let p = String.length prefix in
+    if String.length line > p && String.sub line 0 p = prefix then
+      Some
+        (List.hd
+           (String.split_on_char ' '
+              (String.sub line p (String.length line - p))))
+    else None
+  in
+  let helps = Hashtbl.create 64 and types = Hashtbl.create 64 in
+  List.iter
+    (fun line ->
+      (match name_after "# HELP " line with
+      | Some name ->
+          check_false ("one HELP for " ^ name) (Hashtbl.mem helps name);
+          Hashtbl.add helps name ()
+      | None -> ());
+      match name_after "# TYPE " line with
+      | Some name ->
+          check_false ("one TYPE for " ^ name) (Hashtbl.mem types name);
+          Hashtbl.add types name ()
+      | None -> ())
+    lines;
+  check_int "HELP and TYPE pair up" (Hashtbl.length helps)
+    (Hashtbl.length types);
+  Hashtbl.iter
+    (fun name () ->
+      check_true ("TYPE for " ^ name) (Hashtbl.mem types name))
+    helps;
+  (* Every series line belongs to a declared metric (histogram
+     series declare under their base name). *)
+  let strip_suffix name =
+    List.fold_left
+      (fun acc suf ->
+        let n = String.length name and s = String.length suf in
+        if acc = None && n > s && String.sub name (n - s) s = suf
+        then Some (String.sub name 0 (n - s))
+        else acc)
+      None
+      [ "_bucket"; "_sum"; "_count" ]
+  in
+  List.iter
+    (fun line ->
+      if line <> "" && line.[0] <> '#' then begin
+        let name =
+          List.hd
+            (String.split_on_char '{'
+               (List.hd (String.split_on_char ' ' line)))
+        in
+        check_true ("declared: " ^ name)
+          (Hashtbl.mem helps name
+          ||
+          match strip_suffix name with
+          | Some base -> Hashtbl.mem helps base
+          | None -> false)
+      end)
+    lines;
+  List.iter
+    (fun name -> check_true (name ^ " present") (Hashtbl.mem helps name))
+    present
+
+let with_router ?cfg ?slo cmds f =
+  let router = Fleet.Router.create ?cfg ?slo cmds in
   Fun.protect ~finally:(fun () -> Fleet.Router.shutdown ~timeout_s:0.5 router) (fun () -> f router)
 
 let router_tests =
@@ -814,7 +881,20 @@ let e2e_tests =
             check_true "faults actually fired"
               (List.assoc "kill" r.Fleet.Loadgen.chaos > 0);
             check_true "injections reached the router"
-              (counter router "chaos_injected" > 0)));
+              (counter router "chaos_injected" > 0);
+            (* The whole scrape a --prom-out file holds, chaos kinds and
+               SLO gauges included, is conformant. *)
+            check_conformant
+              ~present:
+                [
+                  "chimera_solve_ms";
+                  "chimera_fleet_routed";
+                  "chimera_slo_burn_rate";
+                  "chimera_loadgen_latency_ms";
+                  "chimera_loadgen_offered";
+                  "chimera_chaos_events";
+                ]
+              (Fleet.Loadgen.report_prometheus router r)));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -1255,74 +1335,84 @@ let tracing_tests =
             let per_worker =
               [ (0, Service.Metrics.create ()); (1, Service.Metrics.create ()) ]
             in
-            let text = Fleet.Router.prometheus router ~merged ~per_worker in
-            let lines = String.split_on_char '\n' text in
-            let name_after prefix line =
+            check_conformant
+              ~present:
+                [
+                  "chimera_fleet_workers";
+                  "chimera_fleet_worker_up";
+                  "chimera_slo_target";
+                  "chimera_slo_burn_rate";
+                ]
+              (Fleet.Router.prometheus router ~merged ~per_worker)));
+    case "the fleet scrape matches the golden text" (fun () ->
+        with_router ~slo:(Golden.slo ()) [| ok_worker; ok_worker |]
+          (fun router ->
+            let merged = Golden.merged () in
+            let per_worker = [ (0, Golden.worker 0); (1, Golden.worker 1) ] in
+            check_string "router exposition"
+              (Service.Metrics.to_prometheus_many
+                 (([], merged)
+                 :: List.map
+                      (fun (id, m) -> ([ ("worker", string_of_int id) ], m))
+                      per_worker)
+              ^ read_fixture "fleet_golden.prom")
+              (Fleet.Router.prometheus router ~merged ~per_worker)));
+    case "loadgen and worker histograms render bounds and sums alike"
+      (fun () ->
+        with_router [| ok_worker |] (fun router ->
+            let latency = Obs.Histogram.create () in
+            Obs.Histogram.observe latency 1234567.891;
+            let r =
+              {
+                Fleet.Loadgen.mix = "fixed";
+                target_rps = 1.0;
+                duration_s = 1.0;
+                wall_s = 1.0;
+                offered = 1;
+                answered = 1;
+                ok = 1;
+                degraded = 0;
+                shed = 0;
+                rejected = 0;
+                failed = 0;
+                unanswered = 0;
+                retried = 0;
+                recovered = 0;
+                gave_up = 0;
+                latency;
+                merged = Service.Metrics.create ();
+                per_worker = [];
+                router = [];
+                chaos = [];
+                sampler = None;
+                slo = Util.Json.Null;
+                slo_text = "";
+              }
+            in
+            let text = Fleet.Loadgen.report_prometheus router r in
+            let les metric =
+              let prefix = metric ^ "_bucket{le=\"" in
               let p = String.length prefix in
-              if String.length line > p && String.sub line 0 p = prefix then
-                Some
-                  (List.hd
-                     (String.split_on_char ' '
-                        (String.sub line p (String.length line - p))))
-              else None
+              List.filter_map
+                (fun line ->
+                  if String.length line > p && String.sub line 0 p = prefix
+                  then
+                    Some
+                      (List.hd
+                         (String.split_on_char '"'
+                            (String.sub line p (String.length line - p))))
+                  else None)
+                (String.split_on_char '\n' text)
             in
-            let helps = Hashtbl.create 64 and types = Hashtbl.create 64 in
-            List.iter
-              (fun line ->
-                (match name_after "# HELP " line with
-                | Some name ->
-                    check_false ("one HELP for " ^ name) (Hashtbl.mem helps name);
-                    Hashtbl.add helps name ()
-                | None -> ());
-                match name_after "# TYPE " line with
-                | Some name ->
-                    check_false ("one TYPE for " ^ name) (Hashtbl.mem types name);
-                    Hashtbl.add types name ()
-                | None -> ())
-              lines;
-            check_int "HELP and TYPE pair up" (Hashtbl.length helps)
-              (Hashtbl.length types);
-            Hashtbl.iter
-              (fun name () ->
-                check_true ("TYPE for " ^ name) (Hashtbl.mem types name))
-              helps;
-            (* Every series line belongs to a declared metric (histogram
-               series declare under their base name). *)
-            let strip_suffix name =
-              List.fold_left
-                (fun acc suf ->
-                  let n = String.length name and s = String.length suf in
-                  if acc = None && n > s && String.sub name (n - s) s = suf
-                  then Some (String.sub name 0 (n - s))
-                  else acc)
-                None
-                [ "_bucket"; "_sum"; "_count" ]
-            in
-            List.iter
-              (fun line ->
-                if line <> "" && line.[0] <> '#' then begin
-                  let name =
-                    List.hd
-                      (String.split_on_char '{'
-                         (List.hd (String.split_on_char ' ' line)))
-                  in
-                  check_true ("declared: " ^ name)
-                    (Hashtbl.mem helps name
-                    ||
-                    match strip_suffix name with
-                    | Some base -> Hashtbl.mem helps base
-                    | None -> false)
-                end)
-              lines;
-            List.iter
-              (fun name ->
-                check_true (name ^ " present") (Hashtbl.mem helps name))
-              [
-                "chimera_fleet_workers";
-                "chimera_fleet_worker_up";
-                "chimera_slo_target";
-                "chimera_slo_burn_rate";
-              ]));
+            check_true "buckets rendered"
+              (List.length (les "chimera_loadgen_latency_ms") > 2);
+            Alcotest.(check (list string))
+              "one le label set per scrape"
+              (les "chimera_solve_ms")
+              (les "chimera_loadgen_latency_ms");
+            check_true "sum keeps every digit"
+              (contains_sub text
+                 "\nchimera_loadgen_latency_ms_sum 1234567.891000\n")));
   ]
 
 let suites =

@@ -360,34 +360,6 @@ let tie_prune_case =
             = []))
         presets)
 
-(* The remaining engine pairing: `Compiled (single-candidate descent,
-   no batch memoization) must land on the same plans as the default
-   batched engine — the batch is a pure evaluation-strategy change. *)
-let compiled_engine_case =
-  slow_case "single-candidate engine reproduces the batched plans"
-    (fun () ->
-      let machine = List.assoc "cpu" presets in
-      List.iter
-        (fun (name, chain) ->
-          let batched =
-            Analytical.Planner.optimize_multilevel chain ~machine
-          in
-          let compiled =
-            Analytical.Planner.optimize_multilevel ~engine:`Compiled chain
-              ~machine
-          in
-          check_int
-            (name ^ ": level count")
-            (List.length batched) (List.length compiled);
-          List.iter2
-            (fun (b : Analytical.Planner.level_plan)
-                 (c : Analytical.Planner.level_plan) ->
-              check_same_plan
-                (Printf.sprintf "%s@%s" name b.level.Arch.Level.name)
-                c.plan b.plan)
-            batched compiled)
-        (workloads ()))
-
 (* Pruning bookkeeping: every order is either solved or pruned, and
    pruned ones spent no descent. *)
 let prune_accounting_case =
@@ -551,7 +523,7 @@ let suites =
         ] );
     ( "planner_fast.equivalence",
       explore_head_cases
-      @ [ prune_accounting_case; tie_prune_case; compiled_engine_case ]
+      @ [ prune_accounting_case; tie_prune_case ]
       @ List.map multilevel_equivalence_case presets );
     ("planner_fast.pool", pool_tests);
     ("planner_fast.memo", memo_tests);

@@ -764,6 +764,63 @@ let metrics_tests =
           (jfield "plan_evals_total" json = Util.Json.Int evals);
         check_true "pruned on the wire"
           (jfield "plan_perms_pruned_total" json = Util.Json.Int pruned));
+    case "exposition, stats JSON and stats wire match the golden text"
+      (fun () ->
+        let instances = Golden.instances () in
+        let merged = snd (List.hd instances) in
+        check_string "to_prometheus_many"
+          (read_fixture "metrics_golden.prom")
+          (Service.Metrics.to_prometheus_many instances);
+        check_string "to_json"
+          (read_fixture "metrics_golden.json")
+          (Util.Json.to_string (Service.Metrics.to_json merged));
+        check_string "to_wire_json"
+          (read_fixture "metrics_golden_wire.json")
+          (Util.Json.to_string (Service.Metrics.to_wire_json merged)));
+    case "every registered family survives the wire and merge" (fun () ->
+        (* Driven by the registry, so a family added later is covered
+           without touching this test. *)
+        let open Service.Metrics in
+        let m = create () in
+        List.iteri
+          (fun i f ->
+            match f.kind with
+            | Counter c -> c.set m (i + 1)
+            | Histogram h ->
+                Obs.Histogram.observe (h.get m) (float_of_int (i + 1))
+            | Gauge _ -> ())
+          families;
+        let back =
+          match of_wire_json (to_wire_json m) with
+          | Ok b -> b
+          | Error e -> Alcotest.fail e
+        in
+        let doubled = create () in
+        merge ~into:doubled m;
+        merge ~into:doubled m;
+        List.iter2
+          (fun (name, v) ((_, vb), (_, vd)) ->
+            match (v, vb, vd) with
+            | Obs.Prom.Int n, Obs.Prom.Int nb, Obs.Prom.Int nd ->
+                check_true (name ^ " set") (n > 0);
+                check_int (name ^ " round-trips") n nb;
+                check_int (name ^ " merges") (2 * n) nd
+            | Obs.Prom.Hist h, Obs.Prom.Hist hb, Obs.Prom.Hist hd ->
+                check_int (name ^ " observed") 1 (Obs.Histogram.count h);
+                check_string (name ^ " round-trips")
+                  (Util.Json.to_string (Obs.Histogram.to_wire_json h))
+                  (Util.Json.to_string (Obs.Histogram.to_wire_json hb));
+                check_int (name ^ " merges") 2 (Obs.Histogram.count hd);
+                check_float (name ^ " merged sum")
+                  (2.0 *. Obs.Histogram.sum_ms h)
+                  (Obs.Histogram.sum_ms hd)
+            | Obs.Prom.Fixed f, Obs.Prom.Fixed fb, Obs.Prom.Fixed fd ->
+                check_true (name ^ " derived") (f > 0.0);
+                check_float (name ^ " re-derived") f fb;
+                check_float (name ^ " merges") (2.0 *. f) fd
+            | _ -> Alcotest.failf "%s changed shape" name)
+          (fields m)
+          (List.combine (fields back) (fields doubled)));
   ]
 
 (* ------------------------------------------------------------------ *)
