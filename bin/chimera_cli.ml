@@ -607,8 +607,7 @@ let batch_cmd requests_path jobs cache_dir deadline_ms failpoints verify
                   Service.Request.describe req;
                   status;
                   string_of_int (List.length units);
-                  Printf.sprintf "%.1f"
-                    (Chimera.Compiler.total_time_seconds r.compiled *. 1e6);
+                  Printf.sprintf "%.1f" (r.estimated_seconds *. 1e6);
                   Printf.sprintf "%.1f" (r.seconds *. 1e3);
                   order;
                 ]

@@ -80,7 +80,7 @@ let interarrival prng rps =
   -.log (1.0 -. Util.Prng.float prng) /. rps
 
 (* One logical request, across all its attempts.  Latency is measured
-   first-submit to terminal answer — a recovered request pays for its
+   scheduled arrival to terminal answer — a recovered request pays for its
    retries in the histogram, as a real client would.  With tracing on,
    the logical request owns one client-side trace; each attempt opens a
    fresh [client.request] span on it, and the trace joins its
@@ -229,9 +229,12 @@ let run ?(seed = 42) ?(batch_jitter = 0) ?(prewarm = false)
     let nw = now () in
     if nw >= !next then begin
       incr offered;
+      (* Latency runs from the scheduled arrival, not the actual send:
+         when the generator falls behind, the wait is the request's
+         (no coordinated omission). *)
       submit_inflight
         { req = Traffic.sample ~batch_jitter prng mix;
-          first_sent = nw;
+          first_sent = !next;
           attempts = 0;
           trace = None;
           span = None };
@@ -413,7 +416,7 @@ let report_prometheus router r =
   Router.prometheus router ~merged:r.merged ~per_worker:r.per_worker
   ^ Obs.Prom.render
       (family "chimera_loadgen_latency_ms"
-         "Client-side first-submit to terminal-answer latency."
+         "Client-side scheduled-arrival to terminal-answer latency."
          Obs.Prom.Histogram
          [ ([], Obs.Prom.Hist r.latency) ]
       :: List.map

@@ -26,8 +26,10 @@ type report = {
       (** retryable errors answered terminally because the retry
           budget was exhausted (0 when retries are off). *)
   latency : Obs.Histogram.t;
-      (** client-side first-submit-to-terminal-answer ms (a recovered
-          request pays for its retries here). *)
+      (** client-side ms from the scheduled arrival to the terminal
+          answer: time the generator ran late before sending counts
+          (no coordinated omission), and a recovered request pays for
+          its retries here. *)
   merged : Service.Metrics.t;  (** fleet-wide merged worker metrics. *)
   per_worker : (int * Service.Metrics.t) list;
   router : (string * int) list;  (** router counters at end of run. *)

@@ -8,6 +8,7 @@ type response = {
   rung : Plan_cache.rung;
   degraded : string option;
   compiled : Chimera.Compiler.compiled;
+  estimated_seconds : float;
   seconds : float;
   verification : Verify.Diagnostic.t list;
   certificate : string option;
@@ -369,6 +370,7 @@ let compile ?cache ?metrics ?(config = Chimera.Config.default) ?deadline
                 rung = entry.Plan_cache.rung;
                 degraded = entry.Plan_cache.degrade_reason;
                 compiled;
+                estimated_seconds = Chimera.Compiler.total_time_seconds compiled;
                 seconds;
                 verification = [];
                 certificate = None;
@@ -578,6 +580,8 @@ let run ?(jobs = 1) ?cache ?metrics ?(config = Chimera.Config.default)
                     rung = entry.Plan_cache.rung;
                     degraded = entry.Plan_cache.degrade_reason;
                     compiled;
+                    estimated_seconds =
+                      Chimera.Compiler.total_time_seconds compiled;
                     seconds;
                     verification = [];
                     certificate = None;

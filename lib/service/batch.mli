@@ -51,6 +51,11 @@ type response = {
       (** [Some trail] when a higher rung was requested but failed;
           [None] when the entry sits at the requested rung. *)
   compiled : Chimera.Compiler.compiled;
+  estimated_seconds : float;
+      (** the kernels' estimated execution time,
+          {!Chimera.Compiler.total_time_seconds} of [compiled], computed
+          with the response (inside {!compile}'s ["request"] span) so
+          its cost is attributed to the worker. *)
   seconds : float;  (** planning wall-clock (0 for cache hits). *)
   verification : Verify.Diagnostic.t list;
       (** findings of the static-analysis passes; [[]] when verification

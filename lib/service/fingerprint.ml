@@ -10,28 +10,74 @@ let scheme_version = 1
 (* never depends on hash-table order or float formatting.              *)
 (* ------------------------------------------------------------------ *)
 
-let add_int b i =
-  Buffer.add_char b 'i';
-  Buffer.add_string b (string_of_int i);
-  Buffer.add_char b ';'
+(* The canonical string is written into a per-domain scratch [Bytes.t]
+   that is reused across calls and digested in place.  Blocks above 256
+   words skip the minor heap: a fresh [Buffer] per call grows to 2 KB
+   for a typical 1.4 KB encoding and lands straight in the major heap
+   on every request, and that garbage alone paces major GC work on the
+   warm path.  A reused [Buffer] would still need its contents copied
+   out to be digested, which is the same allocation for encodings over
+   2 KB.  Nothing in the encoding can yield to another fingerprint on
+   the same domain, so one scratch per domain is safe. *)
+type scratch = { mutable bytes : Bytes.t; mutable len : int }
 
-let add_bool b v = Buffer.add_string b (if v then "T;" else "F;")
+let scratch_key =
+  Domain.DLS.new_key (fun () -> { bytes = Bytes.create 4096; len = 0 })
+
+let reserve b n =
+  let need = b.len + n in
+  if need > Bytes.length b.bytes then begin
+    let bigger = Bytes.create (Int.max need (2 * Bytes.length b.bytes)) in
+    Bytes.blit b.bytes 0 bigger 0 b.len;
+    b.bytes <- bigger
+  end
+
+let add_char b c =
+  reserve b 1;
+  Bytes.unsafe_set b.bytes b.len c;
+  b.len <- b.len + 1
+
+let add_raw b s =
+  let n = String.length s in
+  reserve b n;
+  Bytes.unsafe_blit_string s 0 b.bytes b.len n;
+  b.len <- b.len + n
+
+(* The digits of [string_of_int i], written directly.  Digits are taken
+   from the non-positive form so [min_int] needs no special case. *)
+let rec add_digits b n =
+  if n <= -10 then add_digits b (n / 10);
+  add_char b (Char.unsafe_chr (Char.code '0' - (n mod 10)))
+
+let add_decimal b i =
+  if i < 0 then begin
+    add_char b '-';
+    add_digits b i
+  end
+  else add_digits b (-i)
+
+let add_int b i =
+  add_char b 'i';
+  add_decimal b i;
+  add_char b ';'
+
+let add_bool b v = add_raw b (if v then "T;" else "F;")
 
 let add_float b f =
-  Buffer.add_char b 'f';
-  Buffer.add_string b (Printf.sprintf "%Lx" (Int64.bits_of_float f));
-  Buffer.add_char b ';'
+  add_char b 'f';
+  add_raw b (Printf.sprintf "%Lx" (Int64.bits_of_float f));
+  add_char b ';'
 
 let add_string b s =
-  Buffer.add_char b 's';
-  Buffer.add_string b (string_of_int (String.length s));
-  Buffer.add_char b ':';
-  Buffer.add_string b s
+  add_char b 's';
+  add_decimal b (String.length s);
+  add_char b ':';
+  add_raw b s
 
 let add_list b add xs =
-  Buffer.add_char b 'l';
-  Buffer.add_string b (string_of_int (List.length xs));
-  Buffer.add_char b ':';
+  add_char b 'l';
+  add_decimal b (List.length xs);
+  add_char b ':';
   List.iter (add b) xs
 
 let add_access b (access : Ir.Access.t) =
@@ -62,10 +108,10 @@ let add_operator b (op : Ir.Operator.t) =
 
 let add_epilogue b (e : Ir.Chain.epilogue) =
   match e with
-  | Ir.Chain.Identity -> Buffer.add_string b "E0;"
-  | Ir.Chain.Relu -> Buffer.add_string b "E1;"
+  | Ir.Chain.Identity -> add_raw b "E0;"
+  | Ir.Chain.Relu -> add_raw b "E1;"
   | Ir.Chain.Softmax { axis } ->
-      Buffer.add_string b "E2;";
+      add_raw b "E2;";
       add_string b axis
 
 let add_chain b (chain : Ir.Chain.t) =
@@ -112,13 +158,14 @@ let add_config b (c : Chimera.Config.t) =
   add_int b c.seed
 
 let of_request ~chain ~machine ~config =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "chimera-fingerprint-";
+  let b = Domain.DLS.get scratch_key in
+  b.len <- 0;
+  add_raw b "chimera-fingerprint-";
   add_int b scheme_version;
   add_chain b chain;
   add_machine b machine;
   add_config b config;
-  Digest.string (Buffer.contents b)
+  Digest.subbytes b.bytes 0 b.len
 
 let to_hex = Digest.to_hex
 let equal = String.equal

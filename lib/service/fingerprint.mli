@@ -14,7 +14,12 @@
     hash-table iteration order, no float printing ambiguity — floats
     are hashed by their IEEE-754 bits), digested with MD5.  Any change
     to the encoding must bump {!scheme_version}, which wholesale
-    invalidates persisted caches. *)
+    invalidates persisted caches.
+
+    Fingerprinting runs on every request, cache hits included, so the
+    canonical string is written into a scratch buffer reused per
+    domain and digested in place: once a domain has fingerprinted one
+    request, the next allocates nothing in the major heap. *)
 
 type t
 

@@ -39,9 +39,7 @@ let response_json ?id ?timings_of ?ship req (r : Batch.response) =
           match r.Batch.degraded with Some s -> String s | None -> Null );
         ("units", List (List.map response_of_unit
                           r.Batch.compiled.Chimera.Compiler.units));
-        ( "estimated_us",
-          Float
-            (Chimera.Compiler.total_time_seconds r.Batch.compiled *. 1e6) );
+        ("estimated_us", Float (r.Batch.estimated_seconds *. 1e6));
         ("compile_ms", Float (r.Batch.seconds *. 1e3));
       ]
     (* trace_id and timings_ms only appear when the request opted in

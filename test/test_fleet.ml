@@ -850,6 +850,32 @@ let e2e_tests =
             match Fleet.Loadgen.report_json r with
             | Util.Json.Obj _ -> ()
             | _ -> Alcotest.fail "report_json should be an object"));
+    slow_case "a generator running behind schedule charges the lateness"
+      (fun () ->
+        with_router [| real_worker |] (fun router ->
+            let mix = Option.get (Fleet.Traffic.by_name "Bert-Base") in
+            (* Prewarmed, every arrival is a synchronous hot-tier answer
+               taking microseconds, but a million arrivals a second is
+               far beyond what one loop can submit: the arrival loop
+               stalls further behind its schedule with every request,
+               and that wait must show in the client latency. *)
+            let duration_s = 0.3 in
+            let r =
+              Fleet.Loadgen.run ~seed:3 ~prewarm:true ~mix ~rps:1e6
+                ~duration_s router
+            in
+            check_int "all hot answers" r.Fleet.Loadgen.offered
+              r.Fleet.Loadgen.answered;
+            let behind_ms =
+              1e3
+              *. (duration_s -. (float_of_int r.Fleet.Loadgen.offered /. 1e6))
+            in
+            check_true
+              (Printf.sprintf "max %.1f ms covers half the %.1f ms backlog"
+                 (Obs.Histogram.max_ms r.Fleet.Loadgen.latency)
+                 behind_ms)
+              (Obs.Histogram.max_ms r.Fleet.Loadgen.latency
+              >= behind_ms /. 2.0)));
     slow_case "a chaos run terminally answers every request" (fun () ->
         let cfg =
           {

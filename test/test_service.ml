@@ -149,6 +149,48 @@ let fingerprint_tests =
     case "machine preset changes the hash" (fun () ->
         check_false "cpu vs gpu"
           (equal (fp ~machine:cpu (gemm ())) (fp ~machine:gpu (gemm ()))));
+    case "every workload-matrix fingerprint matches the golden file" (fun () ->
+        (* Captured from the Buffer/string_of_int encoder: persisted
+           caches stay valid only while every digest is reproduced. *)
+        let golden =
+          String.split_on_char '\n' (read_fixture "fingerprints_golden.txt")
+          |> List.filter (fun l -> l <> "")
+        in
+        check_int "case count" (List.length golden)
+          (List.length (Workload_matrix.fingerprint_lines ()));
+        List.iter2 (check_string "fingerprint") golden
+          (Workload_matrix.fingerprint_lines ()));
+    case "a warm fingerprint allocates nothing in the major heap" (fun () ->
+        List.iter
+          (fun (label, chain, machine, config) ->
+            ignore (of_request ~chain ~machine ~config);
+            (* Major words count promotions too; only the rest were
+               allocated directly in the major heap. *)
+            let direct () =
+              let _, promoted, major = Gc.counters () in
+              major -. promoted
+            in
+            let before = direct () in
+            ignore (Sys.opaque_identity (of_request ~chain ~machine ~config));
+            Alcotest.(check (float 0.0)) label 0.0 (direct () -. before))
+          (Workload_matrix.fingerprint_cases ()));
+    case "fingerprints computed across domains equal sequential ones"
+      (fun () ->
+        let cases = Array.of_list (Workload_matrix.fingerprint_cases ()) in
+        let hex i =
+          let _, chain, machine, config = cases.(i) in
+          to_hex (of_request ~chain ~machine ~config)
+        in
+        let sequential = Array.init (Array.length cases) hex in
+        let pool = Util.Pool.create ~domains:2 () in
+        Fun.protect
+          ~finally:(fun () -> Util.Pool.shutdown pool)
+          (fun () ->
+            for _ = 1 to 3 do
+              Alcotest.(check (array string))
+                "parallel" sequential
+                (Util.Pool.run pool hex (Array.length cases))
+            done));
   ]
 
 (* ------------------------------------------------------------------ *)
