@@ -17,14 +17,14 @@
    per-order re-checks are independent, so they fan out just like the
    per-order solves do), matching how the service verifies.
 
-   Two closing passes pin the rest of the engine's contract: a
-   sim-calibration fit per preset (outermost plans replayed through
-   the simulated DRAM walk; best affine correction by mean relative
-   error, identity always a candidate so the fit cannot regress the
-   raw model — see docs/PERF.md) and a minor-words-per-eval count on
-   a representative GEMM and conv, bounding both engines' per-eval
-   allocation (the batched descent's allocation-free hot path, and
-   the reference engine's Tiling.rebind hoist).
+   Two closing passes pin the rest of the engine's contract: the
+   model-vs-simulator residual per preset (outermost plans replayed
+   through the simulated DRAM walk, mean relative error of the
+   analytical DV against the measured traffic — see docs/PERF.md) and
+   a minor-words-per-eval count on a representative GEMM and conv,
+   bounding both engines' per-eval allocation (the batched descent's
+   allocation-free hot path, and the reference engine's Tiling.rebind
+   hoist).
    scripts/check_planner_perf.py gates the emitted JSON in CI. *)
 
 let presets = [ "cpu"; "gpu"; "npu" ]
@@ -50,79 +50,14 @@ let timed f =
   let r = f () in
   (r, (Unix.gettimeofday () -. t0) *. 1e3)
 
-(* -- sim calibration ------------------------------------------------ *)
+(* -- model-vs-simulator residual ---------------------------------- *)
 
 (* Replaying a plan through the block-walk simulator costs one LRU pass
    per block visit; outermost-level plans have few blocks, but a cap
    keeps a pathological row from dominating the bench.  Skips are
-   logged — a silently-thinned fit would overstate its own coverage. *)
+   logged — a silently-thinned residual would overstate its own
+   coverage. *)
 let calib_max_blocks = 20_000.0
-
-type calib_sample = { cs_dv : float; cs_sim : float }
-
-let mean_rel_err f samples =
-  match samples with
-  | [] -> 0.0
-  | _ ->
-      List.fold_left
-        (fun a s ->
-          a +. (Float.abs (f s.cs_dv -. s.cs_sim) /. Float.max 1.0 s.cs_sim))
-        0.0 samples
-      /. float_of_int (List.length samples)
-
-(* Calibration fit for [sim ~ scale * dv + offset], selected by the
-   mean relative error it is judged on.  Three candidates compete: the
-   identity, a scale-only fit minimizing relative error (the median of
-   the per-row sim/DV ratios — robust when the rows span decades of
-   magnitude, where OLS chases the largest row), and affine OLS.
-   Degenerate sample sets (fewer than two points, no DV spread, or a
-   non-positive OLS slope) only ever lose candidates.  Picking by the
-   reported metric means the fitted correction can never score worse
-   than no calibration — the bench prints both so a regression here is
-   visible, not papered over. *)
-let fit_affine samples =
-  let candidates =
-    (1.0, 0.0)
-    :: (match
-          List.filter_map
-            (fun s ->
-              if s.cs_dv > 0.0 then Some (s.cs_sim /. s.cs_dv) else None)
-            samples
-        with
-       | [] -> []
-       | ratios ->
-           let a = Array.of_list ratios in
-           Array.sort compare a;
-           let median = a.(Array.length a / 2) in
-           if median > 0.0 then [ (median, 0.0) ] else [])
-    @
-    let n = float_of_int (List.length samples) in
-    if n < 2.0 then []
-    else begin
-      let sx = List.fold_left (fun a s -> a +. s.cs_dv) 0.0 samples in
-      let sy = List.fold_left (fun a s -> a +. s.cs_sim) 0.0 samples in
-      let xb = sx /. n and yb = sy /. n in
-      let var =
-        List.fold_left (fun a s -> a +. ((s.cs_dv -. xb) ** 2.0)) 0.0 samples
-      in
-      let cov =
-        List.fold_left
-          (fun a s -> a +. ((s.cs_dv -. xb) *. (s.cs_sim -. yb)))
-          0.0 samples
-      in
-      if var <= 1e-9 *. Float.max 1.0 (xb *. xb) then []
-      else begin
-        let scale = cov /. var in
-        if scale <= 0.0 then [] else [ (scale, yb -. (scale *. xb)) ]
-      end
-    end
-  in
-  let score (scale, offset) =
-    mean_rel_err (fun dv -> (scale *. dv) +. offset) samples
-  in
-  List.fold_left
-    (fun best c -> if score c < score best then c else best)
-    (List.hd candidates) (List.tl candidates)
 
 (* -- allocation accounting ------------------------------------------ *)
 
@@ -177,9 +112,7 @@ let run () =
   let family_ratios : (string, float list ref) Hashtbl.t =
     Hashtbl.create 4
   in
-  let calib_samples : (string, calib_sample list ref) Hashtbl.t =
-    Hashtbl.create 4
-  in
+  let calib_errs : (string, float list ref) Hashtbl.t = Hashtbl.create 4 in
   let calib_skipped = ref 0 in
   List.iter
     (fun preset ->
@@ -222,14 +155,17 @@ let run () =
             float_of_int pruned /. float_of_int (max 1 evaluated)
           in
           let evals_saved = ref_evals - fast_evals in
-          (* Calibration sample: the outermost (DRAM-fed) level's plan
+          (* Residual sample: the outermost (DRAM-fed) level's plan
              replayed through the block-walk simulator; its measured
              fill traffic is the ground truth the analytical DV is
-             fitted against. *)
+             judged against. *)
           let outer_lp =
             List.nth fast_plans (List.length fast_plans - 1)
           in
           let outer_plan = outer_lp.Analytical.Planner.plan in
+          let dv =
+            outer_plan.Analytical.Planner.movement.Analytical.Movement.dv_bytes
+          in
           let sim_dram_bytes =
             let blocks =
               Sim.Trace.block_count
@@ -239,7 +175,7 @@ let run () =
             if blocks > calib_max_blocks then begin
               incr calib_skipped;
               Printf.printf
-                "calibration: skipping %s/%s (%.0f blocks > %.0f cap)\n"
+                "residual: skipping %s/%s (%.0f blocks > %.0f cap)\n"
                 preset name blocks calib_max_blocks;
               None
             end
@@ -250,26 +186,19 @@ let run () =
                   ~perm:outer_plan.Analytical.Planner.perm
                   ~tiling:outer_plan.Analytical.Planner.tiling ()
               in
-              let sample =
-                {
-                  cs_dv =
-                    outer_plan.Analytical.Planner.movement
-                      .Analytical.Movement.dv_bytes;
-                  cs_sim = stats.Sim.Trace.dram_bytes;
-                }
-              in
-              let bucket =
-                match Hashtbl.find_opt calib_samples preset with
-                | Some r -> r
-                | None ->
-                    let r = ref [] in
-                    Hashtbl.add calib_samples preset r;
-                    r
-              in
-              bucket := sample :: !bucket;
               Some stats.Sim.Trace.dram_bytes
             end
           in
+          let rel_err =
+            Option.map (fun b -> Float.abs (dv -. b) /. Float.max 1.0 b)
+              sim_dram_bytes
+          in
+          Option.iter
+            (fun e ->
+              match Hashtbl.find_opt calib_errs preset with
+              | Some r -> r := e :: !r
+              | None -> Hashtbl.add calib_errs preset (ref [ e ]))
+            rel_err;
           (* The independent certificate check, priced against the cold
              plan it certifies.  The pass must find nothing: a genuine
              plan's certificate always verifies. *)
@@ -332,13 +261,8 @@ let run () =
                 | Some b -> Util.Json.Float b
                 | None -> Util.Json.Null );
               ( "calib_rel_err",
-                match sim_dram_bytes with
-                | Some b ->
-                    Util.Json.Float
-                      (Float.abs
-                         (outer_plan.Analytical.Planner.movement
-                            .Analytical.Movement.dv_bytes -. b)
-                      /. Float.max 1.0 b)
+                match rel_err with
+                | Some e -> Util.Json.Float e
                 | None -> Util.Json.Null );
             ])
         (chains ()))
@@ -364,40 +288,32 @@ let run () =
     "certificate check overhead: aggregate %.2f%% (mean %.2f%% / max %.2f%%) \
      of cold-plan time (budget < 5%%)\n"
     cert_aggregate cert_mean cert_max;
-  (* -- sim-calibration fit per preset ------------------------------- *)
+  (* -- model-vs-simulator residual per preset ---------------------- *)
   let calib_fields =
     List.concat_map
       (fun preset ->
-        let samples =
-          match Hashtbl.find_opt calib_samples preset with
+        let errs =
+          match Hashtbl.find_opt calib_errs preset with
           | Some r -> !r
           | None -> []
         in
-        let scale, offset = fit_affine samples in
-        let raw_err = mean_rel_err (fun dv -> dv) samples in
-        let fit_err =
-          mean_rel_err (fun dv -> (scale *. dv) +. offset) samples
+        let rows = List.length errs in
+        let raw_err =
+          if rows = 0 then 0.0
+          else List.fold_left ( +. ) 0.0 errs /. float_of_int rows
         in
         Printf.printf
-          "calibration %s: sim = %.6g * DV + %.6g bytes over %d row(s); \
-           mean |err| raw %.2f%% -> fitted %.2f%%\n"
-          preset scale offset (List.length samples) (100.0 *. raw_err)
-          (100.0 *. fit_err);
+          "residual %s: mean |DV - sim| / sim %.2f%% over %d row(s)\n" preset
+          (100.0 *. raw_err) rows;
         [
-          (Printf.sprintf "calib_%s_scale" preset, Util.Json.Float scale);
-          ( Printf.sprintf "calib_%s_offset_bytes" preset,
-            Util.Json.Float offset );
-          ( Printf.sprintf "calib_%s_rows" preset,
-            Util.Json.Int (List.length samples) );
+          (Printf.sprintf "calib_%s_rows" preset, Util.Json.Int rows);
           ( Printf.sprintf "calib_%s_raw_rel_err" preset,
             Util.Json.Float raw_err );
-          ( Printf.sprintf "calib_%s_fitted_rel_err" preset,
-            Util.Json.Float fit_err );
         ])
       presets
   in
   if !calib_skipped > 0 then
-    Printf.printf "calibration: %d row(s) skipped by the block cap\n"
+    Printf.printf "residual: %d row(s) skipped by the block cap\n"
       !calib_skipped;
   (* -- allocation accounting on a representative GEMM and conv ------ *)
   let machine = Option.get (Arch.Presets.by_name "cpu") in

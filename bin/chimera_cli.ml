@@ -75,61 +75,6 @@ let no_fusion_arg =
   let doc = "Disable chain fusion (one kernel per operator)." in
   Arg.(value & flag & info [ "no-fusion" ] ~doc)
 
-let engine_arg =
-  let doc =
-    "Solver descent engine: $(b,batched) (default; structure-of-arrays \
-     frontier evaluation) or $(b,reference) (one candidate at a time, \
-     full re-analysis per evaluation).  Both engines select identical \
-     plans; the knob exists for benchmarks and equivalence checks."
-  in
-  Arg.(value & opt string "batched" & info [ "engine" ] ~doc ~docv:"ENGINE")
-
-let calibration_arg =
-  let doc =
-    "Cost-model calibration: $(b,off) (default), $(b,fitted) (the preset's \
-     sim-fitted affine correction, see EXPERIMENTS.md) or \
-     $(b,SCALE[,OFFSET]) (explicit affine correction applied to the \
-     outermost level's DV before pricing, offset in bytes).  Affects the \
-     reported memory-time estimate only, never the chosen plan."
-  in
-  Arg.(value & opt string "off" & info [ "calibration" ] ~doc ~docv:"SPEC")
-
-let parse_engine s =
-  match Chimera.Config.engine_of_string (String.lowercase_ascii s) with
-  | Some e -> Ok e
-  | None ->
-      Error (`Msg (Printf.sprintf "unknown engine %S (batched|reference)" s))
-
-let parse_calibration ~arch s =
-  match String.lowercase_ascii s with
-  | "off" -> Ok None
-  | "fitted" -> (
-      match Arch.Presets.fitted_calibration arch with
-      | Some _ as c -> Ok c
-      | None ->
-          Error
-            (`Msg (Printf.sprintf "no fitted calibration for arch %S" arch)))
-  | spec -> (
-      let bad () =
-        Error
-          (`Msg
-             (Printf.sprintf
-                "bad calibration %S (off|fitted|SCALE[,OFFSET] with SCALE > 0)"
-                spec))
-      in
-      match String.split_on_char ',' spec with
-      | [ scale ] -> (
-          match float_of_string_opt scale with
-          | Some s when s > 0.0 ->
-              Ok (Some { Arch.Machine.dv_scale = s; dv_offset_bytes = 0.0 })
-          | _ -> bad ())
-      | [ scale; offset ] -> (
-          match (float_of_string_opt scale, float_of_string_opt offset) with
-          | Some s, Some o when s > 0.0 ->
-              Ok (Some { Arch.Machine.dv_scale = s; dv_offset_bytes = o })
-          | _ -> bad ())
-      | _ -> bad ())
-
 (* ---------------- commands ---------------- *)
 
 let with_setup workload arch softmax relu batch f =
@@ -158,18 +103,10 @@ let print_report name (r : Sim.Perf.report) =
       Printf.printf "  level %-6s        %.2f us\n" level (cost *. 1e6))
     r.per_level_cost
 
-let optimize_cmd workload arch softmax relu batch source no_fusion engine
-    calibration =
+let optimize_cmd workload arch softmax relu batch source no_fusion =
   with_setup workload arch softmax relu batch (fun machine chain ->
-      Result.bind (parse_engine engine) @@ fun solver_engine ->
-      Result.bind (parse_calibration ~arch calibration) @@ fun calibration ->
       let config =
-        {
-          Chimera.Config.default with
-          use_fusion = not no_fusion;
-          solver_engine;
-          calibration;
-        }
+        { Chimera.Config.default with use_fusion = not no_fusion }
       in
       let compiled, dt =
         Chimera.Compiler.optimization_time_seconds (fun () ->
@@ -177,13 +114,6 @@ let optimize_cmd workload arch softmax relu batch source no_fusion engine
       in
       Format.printf "%a" Ir.Chain.pp chain;
       Printf.printf "target: %s\n" machine.Arch.Machine.name;
-      Printf.printf "engine: %s\n"
-        (Chimera.Config.engine_to_string solver_engine);
-      (match calibration with
-      | None -> ()
-      | Some c ->
-          Printf.printf "calibration: DV' = %.6g * DV + %.6g bytes\n"
-            c.Arch.Machine.dv_scale c.Arch.Machine.dv_offset_bytes);
       Printf.printf "optimization took %.2f s\n\n" dt;
       (* Why this order: the top of the explored space. *)
       let ranked, stats =
@@ -867,12 +797,8 @@ let fleet_bridge ?(health_interval_s = 5.0) ?chaos router =
                         reason = Printf.sprintf "unknown command %S" other;
                       }))
           | None -> (
-              match Service.Request.of_json json with
-              | Error reason ->
-                  emit
-                    (Service.Error.to_json ?id
-                       (Service.Error.Invalid_request
-                          { field = "request"; reason }))
+              match Service.Request.decode json with
+              | Error e -> emit (Service.Error.to_json ?id e)
               | Ok req -> (
                   tick_chaos ();
                   match Fleet.Router.submit ?id ~raw:json router req with
@@ -1173,8 +1099,7 @@ let optimize_t =
     Term.(
       term_result
         (const optimize_cmd $ workload_arg $ arch_arg $ softmax_arg $ relu_arg
-       $ batch_arg $ source_arg $ no_fusion_arg $ engine_arg
-       $ calibration_arg))
+       $ batch_arg $ source_arg $ no_fusion_arg))
 
 let run_t =
   Cmd.v

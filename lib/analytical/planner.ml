@@ -369,19 +369,7 @@ let optimize_multilevel ?min_blocks ?min_tile ?check ?prune ?engine ?pool
                     ?check ~obs ()
               | _ -> plan)
         in
-        let cost_seconds =
-          (* The sim-fitted calibration corrects the *cost* of the
-             DRAM-facing level only — the DV objective the orders were
-             ranked by is untouched, so a calibrated machine selects
-             the identical plan and certificate. *)
-          let dv = plan.movement.Movement.dv_bytes in
-          let dv =
-            match parent with
-            | None -> Arch.Machine.calibrated_dv_bytes machine dv
-            | Some _ -> dv
-          in
-          dv /. (feed *. 1e9)
-        in
+        let cost_seconds = plan.movement.Movement.dv_bytes /. (feed *. 1e9) in
         plan_levels (Some plan)
           ({ level; plan; feed_bandwidth_gbps = feed; cost_seconds } :: acc)
           rest

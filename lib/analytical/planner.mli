@@ -61,7 +61,8 @@ val explore :
     dropped from the tail.
 
     [engine] (default [`Batched]) selects the {!Solver.engine} every
-    per-order solve descends with; all engines land on identical plans.
+    per-order solve descends with; all engines land on identical plans,
+    and [`Reference] is there as the tests' and the bench's oracle.
 
     [pool] fans the per-order solves across a shared domain pool; the
     best-so-far bound lives in an atomic so workers prune against each
@@ -117,11 +118,9 @@ type level_plan = {
       (** bandwidth of the link that fills this level (the next-outer
           level's link — DRAM for the outermost on-chip level). *)
   cost_seconds : float;
-      (** Equation 2: [DV_d / bw_d].  At the outermost (DRAM-fed) level
-          the machine's {!Arch.Machine.calibration}, when present,
-          corrects the DV before pricing — cost only; the plan, its DV
-          field and its certificate are identical with or without
-          calibration. *)
+      (** Equation 2: [DV_d / bw_d], the plan's analytical DV over the
+          feed bandwidth.  {!optimize_multilevel} is the only place a
+          level's cost is computed. *)
 }
 
 val optimize_multilevel :

@@ -27,8 +27,10 @@ type engine = [ `Batched | `Reference ]
     the single-candidate reference engine (the equivalence suite
     asserts this with [=]).  [`Reference] evaluates one candidate at a
     time and re-runs the full {!Movement.analyze} per evaluation — the
-    pre-compilation behaviour, kept for benchmarks and for the
-    equivalence tests that prove both engines pick identical plans. *)
+    pre-compilation behaviour, kept as the oracle for the equivalence
+    tests that prove both engines pick identical plans and for the
+    planner bench's baseline.  It is not a user knob: the compiler and
+    the service always plan with the default. *)
 
 type verdict =
   | Feasible of solution

@@ -1,7 +1,5 @@
 type backend = Cpu | Gpu | Npu
 
-type calibration = { dv_scale : float; dv_offset_bytes : float }
-
 type t = {
   name : string;
   backend : backend;
@@ -12,7 +10,6 @@ type t = {
   vector_lanes : int;
   tensor_tile : int * int * int;
   levels : Level.t list;
-  calibration : calibration option;
 }
 
 let validate_levels levels =
@@ -30,18 +27,9 @@ let validate_levels levels =
       in
       check levels
 
-let validate_calibration = function
-  | None -> ()
-  | Some c ->
-      if not (c.dv_scale > 0.0 && Float.is_finite c.dv_scale) then
-        invalid_arg "Machine: calibration dv_scale must be finite positive";
-      if not (Float.is_finite c.dv_offset_bytes) then
-        invalid_arg "Machine: calibration dv_offset_bytes must be finite"
-
 let make ~name ~backend ~peak_tflops ~freq_ghz ~cores ~vector_registers
-    ~vector_lanes ?(tensor_tile = (1, 1, 1)) ?calibration ~levels () =
+    ~vector_lanes ?(tensor_tile = (1, 1, 1)) ~levels () =
   validate_levels levels;
-  validate_calibration calibration;
   {
     name;
     backend;
@@ -52,17 +40,7 @@ let make ~name ~backend ~peak_tflops ~freq_ghz ~cores ~vector_registers
     vector_lanes;
     tensor_tile;
     levels;
-    calibration;
   }
-
-let with_calibration t calibration =
-  validate_calibration calibration;
-  { t with calibration }
-
-let calibrated_dv_bytes t dv =
-  match t.calibration with
-  | None -> dv
-  | Some c -> (c.dv_scale *. dv) +. c.dv_offset_bytes
 
 let dram t = List.nth t.levels (List.length t.levels - 1)
 let on_chip_levels t = List.filter (fun l -> not (Level.is_dram l)) t.levels

@@ -8,15 +8,6 @@
 type backend = Cpu | Gpu | Npu
 (** Which replaceable-micro-kernel family the machine uses. *)
 
-type calibration = { dv_scale : float; dv_offset_bytes : float }
-(** Affine correction from analytical DV to simulator-measured DRAM
-    traffic, fitted by the planner bench's calibration pass (least
-    squares over the planned workloads replayed through the block-walk
-    simulator).  Applied to the *cost model only* — the outermost
-    level's memory-time estimate — never to the DV objective the
-    planner ranks orders by, so enabling it moves no plan and breaks
-    no certificate. *)
-
 type t = {
   name : string;
   backend : backend;
@@ -32,27 +23,14 @@ type t = {
           (WMMA fragment / cube op); [(1, 1, 1)] when absent. *)
   levels : Level.t list;
       (** per-core memory hierarchy, innermost first, DRAM last. *)
-  calibration : calibration option;
-      (** sim-fitted cost correction; [None] (the default everywhere)
-          prices memory time from raw analytical DV. *)
 }
 
 val make :
   name:string -> backend:backend -> peak_tflops:float -> freq_ghz:float ->
   cores:int -> vector_registers:int -> vector_lanes:int ->
-  ?tensor_tile:int * int * int -> ?calibration:calibration ->
-  levels:Level.t list -> unit -> t
-(** Construct a machine; validates that the hierarchy ends at DRAM,
-    capacities increase monotonically, and any calibration is finite
-    with positive scale. *)
-
-val with_calibration : t -> calibration option -> t
-(** The machine with its calibration replaced (validated as in
-    {!make}). *)
-
-val calibrated_dv_bytes : t -> float -> float
-(** Apply the machine's calibration to an analytical DV:
-    [scale *. dv +. offset], or the identity when uncalibrated. *)
+  ?tensor_tile:int * int * int -> levels:Level.t list -> unit -> t
+(** Construct a machine; validates that the hierarchy ends at DRAM and
+    capacities increase monotonically. *)
 
 val dram : t -> Level.t
 (** The outermost level. *)

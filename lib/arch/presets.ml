@@ -52,22 +52,3 @@ let all =
   [ ("cpu", xeon_gold_6240); ("gpu", nvidia_a100); ("npu", ascend_910) ]
 
 let by_name name = List.assoc_opt (String.lowercase_ascii name) all
-
-(* Affine DV-to-measured-traffic corrections fitted by the planner
-   bench's calibration pass (bench/exp_planner.ml: outermost-level plans
-   replayed through the Sim block walk; per preset, the best of
-   identity / median-ratio / least-squares candidates by mean relative
-   error; the fit is reproduced in BENCH_planner.json's summary).  On
-   the current workload set the identity correction wins on every
-   preset — the analytical DV already sits at 0% (gpu) to ~25% (npu)
-   mean error against the simulator, and any affine warp that helps
-   the large-DV rows hurts the small ones more — so the fitted values
-   below are genuinely 1.0/0.0, not placeholders.  Off by default —
-   presets above carry [calibration = None]; opt in per run via
-   [Machine.with_calibration (fitted_calibration name)] (the CLI's
-   [--calibration fitted]). *)
-let fitted_calibration name =
-  match String.lowercase_ascii name with
-  | "cpu" | "gpu" | "npu" ->
-      Some { Machine.dv_scale = 1.0; dv_offset_bytes = 0.0 }
-  | _ -> None

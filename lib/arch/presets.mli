@@ -29,11 +29,3 @@ val all : (string * Machine.t) list
 
 val by_name : string -> Machine.t option
 (** Lookup in {!all}. *)
-
-val fitted_calibration : string -> Machine.calibration option
-(** The sim-fitted affine cost correction for a preset short-name
-    ([None] for unknown names).  Presets themselves ship with
-    [calibration = None]; callers opt in with
-    [Machine.with_calibration m (fitted_calibration name)].  Fit
-    provenance: the planner bench's calibration pass (see
-    EXPERIMENTS.md and BENCH_planner.json). *)

@@ -55,17 +55,6 @@ let plan_unit ?check ?pool ?(obs = Obs.Trace.none) (config : Config.t)
          [ ("chain", sub_chain.Ir.Chain.name) ]
        else [])
     (fun obs ->
-      let machine =
-        match config.Config.calibration with
-        | None -> machine
-        | Some _ as c -> Arch.Machine.with_calibration machine c
-      in
-      let engine = config.Config.solver_engine in
-      let min_blocks =
-        if config.Config.parallel_refinement then
-          Some machine.Arch.Machine.cores
-        else None
-      in
       (* The intra-block stage's native-tile floors, from the micro
          kernel that will be substituted. *)
       let micro =
@@ -74,39 +63,9 @@ let plan_unit ?check ?pool ?(obs = Obs.Trace.none) (config : Config.t)
       let min_tile = Codegen.Kernel.min_tile_floor ~micro sub_chain in
       if config.Config.use_cost_model then begin
         let level_plans =
-          if config.Config.multilevel then
-            Analytical.Planner.optimize_multilevel ?min_blocks ~min_tile
-              ~engine ?check ?pool ~obs sub_chain ~machine
-          else begin
-            let capacity =
-              (Arch.Machine.primary_on_chip machine).Arch.Level.capacity_bytes
-            in
-            let plan =
-              Analytical.Planner.optimize sub_chain ~capacity_bytes:capacity
-                ~min_tile ~engine ?check ?pool ~obs ()
-            in
-            let plan =
-              match min_blocks with
-              | Some min_blocks ->
-                  Analytical.Planner.refine_for_parallelism sub_chain plan
-                    ~min_blocks ~min_tile ?check ~obs ()
-              | None -> plan
-            in
-            [
-              {
-                Analytical.Planner.level =
-                  Arch.Machine.primary_on_chip machine;
-                plan;
-                feed_bandwidth_gbps =
-                  Arch.Machine.dram_bandwidth_gbps machine;
-                cost_seconds =
-                  Arch.Machine.calibrated_dv_bytes machine
-                    plan.Analytical.Planner.movement
-                      .Analytical.Movement.dv_bytes
-                  /. (Arch.Machine.dram_bandwidth_gbps machine *. 1e9);
-              };
-            ]
-          end
+          Analytical.Planner.optimize_multilevel
+            ~min_blocks:machine.Arch.Machine.cores ~min_tile ?check ?pool ~obs
+            sub_chain ~machine
         in
         Ok { level_plans; tuner_result = None }
       end

@@ -58,8 +58,9 @@ val plan_unit :
   machine:Arch.Machine.t -> registry:Microkernel.Registry.t -> Ir.Chain.t ->
   (unit_plan, [ `No_feasible_tiling ]) result
 (** Run the expensive half of {!optimize} for one sub-chain: the
-    analytical planner (or the sampling tuner when [use_cost_model] is
-    off).  The analytical path raises [Failure] when no candidate order
+    analytical planner — {!Analytical.Planner.optimize_multilevel} over
+    every on-chip level, the outermost refined for the machine's cores —
+    or the sampling tuner when [use_cost_model] is off.  The analytical path raises [Failure] when no candidate order
     admits a feasible tiling, exactly as {!Analytical.Planner.optimize}
     does.  [check] is the cooperative cancellation hook threaded into
     every planner and tuner search loop; the compilation service uses

@@ -2,10 +2,6 @@ type t = {
   use_cost_model : bool;
   use_fusion : bool;
   use_micro_kernel : bool;
-  multilevel : bool;
-  parallel_refinement : bool;
-  solver_engine : Analytical.Solver.engine;
-  calibration : Arch.Machine.calibration option;
   tuning_trials : int;
   seed : int;
 }
@@ -15,10 +11,6 @@ let default =
     use_cost_model = true;
     use_fusion = true;
     use_micro_kernel = true;
-    multilevel = true;
-    parallel_refinement = true;
-    solver_engine = `Batched;
-    calibration = None;
     tuning_trials = 100;
     seed = 0xC41;
   }
@@ -39,12 +31,3 @@ let with_only ?(cost_model = false) ?(fusion = false) ?(micro_kernel = false)
     use_fusion = fusion;
     use_micro_kernel = micro_kernel;
   }
-
-let engine_of_string = function
-  | "batched" -> Some `Batched
-  | "reference" -> Some `Reference
-  | _ -> None
-
-let engine_to_string = function
-  | `Batched -> "batched"
-  | `Reference -> "reference"

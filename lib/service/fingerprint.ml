@@ -152,8 +152,12 @@ let add_config b (c : Chimera.Config.t) =
   add_bool b c.use_cost_model;
   add_bool b c.use_fusion;
   add_bool b c.use_micro_kernel;
-  add_bool b c.multilevel;
-  add_bool b c.parallel_refinement;
+  (* Former [multilevel] and [parallel_refinement] switches, always on
+     and since removed from [Config]; still encoded as [true] so every
+     digest, and with it every persisted cache, stays valid under
+     scheme_version 1. *)
+  add_bool b true;
+  add_bool b true;
   add_int b c.tuning_trials;
   add_int b c.seed
 

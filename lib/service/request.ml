@@ -133,35 +133,54 @@ let deadline_of ?default_ms t =
 (* JSON wire form                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let of_json json =
+let decode json =
   let open Util.Json in
-  let str key = Option.bind (member key json) to_string_opt in
+  let ( let* ) = Result.bind in
+  (* An absent (or null) field takes its default; a present one of the
+     wrong type is rejected, naming the field.  [traceparent] alone
+     stays lenient: a malformed trace context never fails a request. *)
+  let opt key decode expected =
+    match member key json with
+    | None | Some Null -> Ok None
+    | Some v -> (
+        match decode v with
+        | Some x -> Ok (Some x)
+        | None -> invalid key ("must be " ^ expected))
+  in
   let flag key default =
-    match Option.bind (member key json) to_bool_opt with
-    | Some b -> b
-    | None -> default
+    Result.map (Option.value ~default) (opt key to_bool_opt "a boolean")
+  in
+  let required key =
+    let* v = opt key to_string_opt "a string" in
+    match v with Some s -> Ok s | None -> invalid key "missing"
   in
   match json with
-  | Obj _ -> (
-      match (str "workload", str "arch") with
-      | None, _ -> Error "missing or non-string \"workload\" field"
-      | _, None -> Error "missing or non-string \"arch\" field"
-      | Some workload, Some arch ->
-          Ok
-            {
-              workload;
-              arch;
-              softmax = flag "softmax" false;
-              relu = flag "relu" false;
-              batch = Option.bind (member "batch" json) to_int_opt;
-              fusion = flag "fusion" true;
-              tuner = flag "tuner" false;
-              deadline_ms =
-                Option.bind (member "deadline_ms" json) to_float_opt;
-              timings = flag "timings" false;
-              traceparent = str "traceparent";
-            })
-  | _ -> Error "request must be a JSON object"
+  | Obj _ ->
+      let* workload = required "workload" in
+      let* arch = required "arch" in
+      let* softmax = flag "softmax" false in
+      let* relu = flag "relu" false in
+      let* batch = opt "batch" to_int_opt "an integer" in
+      let* fusion = flag "fusion" true in
+      let* tuner = flag "tuner" false in
+      let* deadline_ms = opt "deadline_ms" to_float_opt "a number" in
+      let* timings = flag "timings" false in
+      Ok
+        {
+          workload;
+          arch;
+          softmax;
+          relu;
+          batch;
+          fusion;
+          tuner;
+          deadline_ms;
+          timings;
+          traceparent = Option.bind (member "traceparent" json) to_string_opt;
+        }
+  | _ -> invalid "json" "request must be a JSON object"
+
+let of_json json = Result.map_error Error.message (decode json)
 
 let to_json t =
   let open Util.Json in

@@ -87,8 +87,17 @@ val deadline_of : ?default_ms:float -> t -> Deadline.t option
     request's own [deadline_ms] when present, else [default_ms], else
     none.  Call it when planning starts, not at decode time. *)
 
+val decode : Util.Json.t -> (t, Error.t) result
+(** Decode the wire form; unknown fields are ignored, absent or [null]
+    ones take their defaults.  A missing [workload]/[arch], or a known
+    field present with the wrong JSON type, is an {!Error.Invalid_request}
+    naming that field ([json] when the value is not an object).
+    [traceparent] is the exception: a non-string is ignored, because a
+    malformed trace context never fails a request. *)
+
 val of_json : Util.Json.t -> (t, string) result
-(** Decode the wire form; unknown fields are ignored. *)
+(** {!decode} with the rejection rendered as its message
+    (["invalid \"batch\": must be an integer"]). *)
 
 val to_json : t -> Util.Json.t
 (** Encode the wire form ([batch]/[deadline_ms]/[traceparent] omitted

@@ -147,11 +147,11 @@ let run ?cache ?metrics ?(config = Chimera.Config.default) ?cache_dir
       cache_dir
   in
   let handle_request ?id json =
-    match Request.of_json json with
-    | Error reason ->
+    match Request.decode json with
+    | Error e ->
         metrics.Metrics.invalid_requests <-
           metrics.Metrics.invalid_requests + 1;
-        emit_error ?id (Error.Invalid_request { field = "json"; reason })
+        emit_error ?id e
     | Ok req -> (
         match Request.resolve req with
         | Error e ->

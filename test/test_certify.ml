@@ -787,6 +787,61 @@ let migration_tests =
               (Service.Plan_cache.skipped_count outcome)
               (Service.Plan_cache.migrated_count outcome));
         rm_rf dir);
+    case "a v5 cache file loads as-is and serves a fresh compile's plan"
+      (fun () ->
+        (* One G1@cpu entry written by the current layout: any change to
+           the marshalled entry types must bump [file_version], and
+           this fixture is what notices when one does not. *)
+        let dir = fresh_dir () in
+        copy_file (fixture "plan_cache_v5.bin")
+          (Service.Plan_cache.cache_file ~dir);
+        let cache = Service.Plan_cache.create () in
+        (match Service.Plan_cache.load cache ~dir with
+        | Service.Plan_cache.Loaded { entries = 1; skipped = 0; migrated = 0 }
+          ->
+            ()
+        | outcome ->
+            Alcotest.failf "expected 1 loaded / 0 skipped / 0 migrated, got \
+                            %d/%d/%d"
+              (Service.Plan_cache.loaded_count outcome)
+              (Service.Plan_cache.skipped_count outcome)
+              (Service.Plan_cache.migrated_count outcome));
+        let chain, machine =
+          match
+            Service.Request.resolve
+              (Service.Request.make ~workload:"G1" ~arch:"cpu" ())
+          with
+          | Ok cm -> cm
+          | Error e -> Alcotest.fail (Service.Error.to_string e)
+        in
+        let fresh_cache = Service.Plan_cache.create () in
+        let compile cache =
+          match
+            Service.Batch.compile ~cache ~verify:Service.Batch.Verify_strict
+              ~machine chain
+          with
+          | Ok r -> r
+          | Error e -> Alcotest.fail (Service.Error.to_string e)
+        in
+        let hit = compile cache and fresh = compile fresh_cache in
+        check_true "served from the file"
+          (hit.Service.Batch.source = Service.Batch.Cache);
+        check_true "freshly planned"
+          (fresh.Service.Batch.source = Service.Batch.Compiled);
+        check_true "same fingerprint"
+          (hit.Service.Batch.fingerprint = fresh.Service.Batch.fingerprint);
+        check_true "same entry"
+          (Service.Plan_cache.find cache hit.Service.Batch.fingerprint
+          = Service.Plan_cache.find fresh_cache fresh.Service.Batch.fingerprint);
+        check_true "the hit certifies"
+          (hit.Service.Batch.certificate = Some "certified");
+        check_string "same kernels"
+          (Chimera.Compiler.source fresh.Service.Batch.compiled)
+          (Chimera.Compiler.source hit.Service.Batch.compiled);
+        check_true "same estimate"
+          (hit.Service.Batch.estimated_seconds
+          = fresh.Service.Batch.estimated_seconds);
+        rm_rf dir);
     case "a monolithic (v2) body migrates as one payload" (fun () ->
         let dir = fresh_dir () in
         let oc = open_out_bin (Service.Plan_cache.cache_file ~dir) in

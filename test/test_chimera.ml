@@ -8,8 +8,7 @@ let config_tests =
         let c = Chimera.Config.default in
         check_true "cost model" c.Chimera.Config.use_cost_model;
         check_true "fusion" c.Chimera.Config.use_fusion;
-        check_true "micro kernel" c.Chimera.Config.use_micro_kernel;
-        check_true "multilevel" c.Chimera.Config.multilevel);
+        check_true "micro kernel" c.Chimera.Config.use_micro_kernel);
     case "baseline disables the three ablation axes" (fun () ->
         let c = Chimera.Config.baseline in
         check_false "cost model" c.Chimera.Config.use_cost_model;

@@ -221,6 +221,56 @@ let request_tests =
         bad "{\"arch\": \"cpu\"}";
         bad "{\"workload\": \"G1\"}";
         bad "[1]");
+    case "wrongly typed fields are rejected by name" (fun () ->
+        let contains s sub =
+          let n = String.length sub in
+          let rec go i =
+            i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+          in
+          go 0
+        in
+        let decode s =
+          match Util.Json.parse s with
+          | Ok j -> of_json j
+          | Error e -> Alcotest.failf "setup: %S does not parse: %s" s e
+        in
+        List.iter
+          (fun (field, value) ->
+            let line =
+              Printf.sprintf "{\"workload\":\"G1\",\"arch\":\"cpu\",%S:%s}"
+                field value
+            in
+            match decode line with
+            | Ok _ -> Alcotest.failf "%s was accepted" line
+            | Error reason ->
+                check_true
+                  (Printf.sprintf "%s: %S names the field" line reason)
+                  (contains reason (Printf.sprintf "%S" field)))
+          [
+            ("batch", "\"7\"");
+            ("batch", "7.5");
+            ("fusion", "\"false\"");
+            ("softmax", "1");
+            ("relu", "\"true\"");
+            ("tuner", "0");
+            ("timings", "\"yes\"");
+            ("deadline_ms", "\"0\"");
+          ];
+        (match decode "{\"workload\":5,\"arch\":\"cpu\"}" with
+        | Ok _ -> Alcotest.fail "a numeric workload was accepted"
+        | Error reason ->
+            check_true "workload named" (contains reason "\"workload\""));
+        (* Null means absent, and a malformed trace context never fails
+           a request. *)
+        match
+          decode
+            "{\"workload\":\"G1\",\"arch\":\"cpu\",\"batch\":null,\
+             \"traceparent\":5}"
+        with
+        | Ok r ->
+            check_true "null batch is the default" (r.batch = None);
+            check_true "bad traceparent ignored" (r.traceparent = None)
+        | Error e -> Alcotest.failf "lenient fields rejected: %s" e);
     case "resolve names unknown workloads and archs" (fun () ->
         (match resolve (make ~workload:"G99" ~arch:"cpu" ()) with
         | Error _ -> ()
@@ -659,6 +709,34 @@ let jfield k j =
 
 let serve_tests =
   [
+    case "the loop names a wrongly typed field instead of defaulting it"
+      (fun () ->
+        let out =
+          serve
+            [
+              "{\"workload\":\"G1\",\"arch\":\"cpu\",\"batch\":\"7\"}";
+              "{\"workload\":\"G1\",\"arch\":\"cpu\",\"fusion\":\"false\"}";
+              "{\"workload\":\"G1\",\"arch\":\"cpu\",\"deadline_ms\":\"0\"}";
+              "{\"cmd\":\"stats\"}";
+              "{\"cmd\":\"quit\"}";
+            ]
+        in
+        match out with
+        | [ batch; fusion; deadline; stats; _quit ] ->
+            List.iter
+              (fun (field, j) ->
+                check_true (field ^ " rejected")
+                  (jfield "ok" j = Util.Json.Bool false);
+                check_true (field ^ " typed")
+                  (jfield "code" j = Util.Json.String "invalid_request");
+                check_true (field ^ " named")
+                  (jfield "field" j = Util.Json.String field))
+              [ ("batch", batch); ("fusion", fusion); ("deadline_ms", deadline) ];
+            check_true "nothing compiled"
+              (jfield "cache_misses" stats = Util.Json.Int 0);
+            check_true "counted as invalid"
+              (jfield "invalid_requests" stats = Util.Json.Int 3)
+        | _ -> Alcotest.failf "expected 5 response lines, got %d" (List.length out));
     slow_case "the loop answers, caches, and survives bad input" (fun () ->
         let out =
           serve
