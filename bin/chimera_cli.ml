@@ -682,174 +682,6 @@ let prewarm_router router mix_name arch =
             (List.length reqs) name;
           Ok ())
 
-let health_status_json (wid, st) =
-  Util.Json.Obj
-    ([ ("worker", Util.Json.Int wid) ]
-    @
-    match st with
-    | `Ok json -> [ ("status", Util.Json.String "ok"); ("health", json) ]
-    | `Unanswered -> [ ("status", Util.Json.String "unanswered") ]
-    | `Restarted -> [ ("status", Util.Json.String "restarted") ])
-
-let fleet_health_json ?id router results =
-  Util.Json.Obj
-    ((match id with Some v -> [ ("id", v) ] | None -> [])
-    @ [
-        ("ok", Util.Json.Bool true);
-        ("workers", Util.Json.Int (Fleet.Router.size router));
-        ("statuses", Util.Json.List (List.map health_status_json results));
-        ( "worker_states",
-          Util.Json.List
-            (List.map Fleet.Router.worker_state_json
-               (Fleet.Router.worker_states router)) );
-      ])
-
-(* The fleet's own JSONL loop: client lines in on stdin, answers out on
-   stdout.  Request lines are routed (and answered out of arrival order
-   — clients correlate by their [id] field, as docs/FLEET.md warns);
-   [cmd:stats] and [cmd:health] are answered fleet-wide. *)
-let fleet_bridge ?(health_interval_s = 5.0) ?chaos router =
-  let tick_chaos () =
-    Option.iter
-      (fun c ->
-        List.iter (Fleet.Router.inject router) (Fleet.Chaos.advance c))
-      chaos
-  in
-  let emit json =
-    print_string (Util.Json.to_string json);
-    print_newline ();
-    flush stdout
-  in
-  let stop = ref false and eof = ref false and inflight = ref 0 in
-  let deliver_events () =
-    List.iter
-      (fun (ev : Fleet.Router.event) ->
-        decr inflight;
-        match ev.Fleet.Router.outcome with
-        | Fleet.Router.Reply { line; _ } ->
-            print_string line;
-            print_newline ();
-            flush stdout
-        | Fleet.Router.Dropped e ->
-            emit (Service.Error.to_json ?id:ev.Fleet.Router.client_id e))
-      (Fleet.Router.poll router)
-  in
-  let handle_line line =
-    if String.trim line <> "" then
-      match Util.Json.parse line with
-      | Error reason ->
-          emit
-            (Service.Error.to_json
-               (Service.Error.Invalid_request { field = "request"; reason }))
-      | Ok json -> (
-          let id = Util.Json.member "id" json in
-          match
-            Option.bind (Util.Json.member "cmd" json) Util.Json.to_string_opt
-          with
-          | Some "stats" ->
-              let merged, per_worker = Fleet.Router.collect_stats router in
-              emit (Fleet.Router.stats_json ?id router ~merged ~per_worker)
-          | Some "health" ->
-              let results = Fleet.Router.check_health router in
-              emit (fleet_health_json ?id router results)
-          | Some "slo" ->
-              emit
-                (Util.Json.Obj
-                   ((match id with Some v -> [ ("id", v) ] | None -> [])
-                   @ [
-                       ("ok", Util.Json.Bool true);
-                       ("slo", Obs.Slo.report_json (Fleet.Router.slo router));
-                     ]))
-          | Some "flight" -> (
-              (* Pull any spooled worker spans first, so the dump holds
-                 complete traces for the freshest errors too. *)
-              ignore (Fleet.Router.drain_spans router);
-              match Fleet.Router.flight_json router with
-              | Some flight ->
-                  emit
-                    (Util.Json.Obj
-                       ((match id with Some v -> [ ("id", v) ] | None -> [])
-                       @ [
-                           ("ok", Util.Json.Bool true); ("flight", flight);
-                         ]))
-              | None ->
-                  emit
-                    (Service.Error.to_json ?id
-                       (Service.Error.Invalid_request
-                          {
-                            field = "cmd";
-                            reason =
-                              "flight recorder off (start the fleet with \
-                               --trace or --flight-dir)";
-                          })))
-          | Some "quit" ->
-              emit
-                (Util.Json.Obj
-                   ((match id with Some v -> [ ("id", v) ] | None -> [])
-                   @ [ ("ok", Util.Json.Bool true) ]));
-              stop := true
-          | Some other ->
-              emit
-                (Service.Error.to_json ?id
-                   (Service.Error.Invalid_request
-                      {
-                        field = "cmd";
-                        reason = Printf.sprintf "unknown command %S" other;
-                      }))
-          | None -> (
-              match Service.Request.decode json with
-              | Error e -> emit (Service.Error.to_json ?id e)
-              | Ok req -> (
-                  tick_chaos ();
-                  match Fleet.Router.submit ?id ~raw:json router req with
-                  | Fleet.Router.Answered j -> emit j
-                  | Fleet.Router.Routed _ -> incr inflight)))
-  in
-  let buf = Buffer.create 4096 in
-  let chunk = Bytes.create 65536 in
-  let read_stdin () =
-    match Unix.read Unix.stdin chunk 0 (Bytes.length chunk) with
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EINTR), _, _) -> ()
-    | 0 -> eof := true
-    | n ->
-        Buffer.add_subbytes buf chunk 0 n;
-        let data = Buffer.contents buf in
-        Buffer.clear buf;
-        let start = ref 0 in
-        String.iteri
-          (fun i c ->
-            if c = '\n' then begin
-              handle_line (String.sub data !start (i - !start));
-              start := i + 1
-            end)
-          data;
-        Buffer.add_substring buf data !start (String.length data - !start)
-  in
-  let last_health = ref (Unix.gettimeofday ()) in
-  while not !stop do
-    deliver_events ();
-    if !eof then begin
-      (* No more input: drain what is in flight, then leave. *)
-      if !inflight <= 0 then stop := true
-      else ignore (Unix.select [] [] [] 0.01)
-    end
-    else begin
-      match Unix.select [ Unix.stdin ] [] [] 0.02 with
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-      | [], _, _ -> ()
-      | _ :: _, _, _ -> read_stdin ()
-    end;
-    if
-      health_interval_s > 0.0
-      && Unix.gettimeofday () -. !last_health > health_interval_s
-    then begin
-      last_health := Unix.gettimeofday ();
-      ignore (Fleet.Router.check_health router)
-    end
-  done;
-  deliver_events ();
-  Fleet.Router.shutdown router
-
 (* Dump the flight recorder after the bridge/run finished (the
    router's shutdown already did the final span drain, so late error
    spans are in).  The sampler state survives shutdown — it is all
@@ -889,7 +721,9 @@ let fleet_cmd n cache_dir deadline_ms verify log_level queue_depth soft_depth
                     Fleet.Chaos.create ~spec ~seed ~workers:n ())
                   chaos
               in
-              fleet_bridge ~health_interval_s ?chaos router;
+              Fleet.Bridge.run ~health_interval_s ?chaos ~input:Unix.stdin
+                ~output:stdout router;
+              Fleet.Router.shutdown router;
               Option.iter
                 (fun dir ->
                   (try Unix.mkdir dir 0o755

@@ -24,11 +24,9 @@ type config = {
   soft_depth : int;
   degrade_deadline_ms : float;
   replicate_after : int;
-  hot_capacity : int;
   health_timeout_s : float;
   restart_after : int;
   restart_backoff_s : float;
-  restart_backoff_max_s : float;
   breaker_restarts : int;
   breaker_window_s : float;
   response_deadline_s : float;
@@ -42,16 +40,19 @@ let default_config =
     soft_depth = 16;
     degrade_deadline_ms = 25.0;
     replicate_after = 2;
-    hot_capacity = 256;
     health_timeout_s = 2.0;
     restart_after = 3;
     restart_backoff_s = 0.25;
-    restart_backoff_max_s = 5.0;
     breaker_restarts = 8;
     breaker_window_s = 20.0;
     response_deadline_s = 60.0;
     spawn_grace_s = 0.05;
   }
+
+(* Most stored hot responses (FIFO eviction), and the supervisor's
+   backoff ceiling. *)
+let hot_capacity = 256
+let restart_backoff_max_s = 5.0
 
 type hot_entry = { mutable hits : int; mutable stored : Util.Json.t option }
 
@@ -86,7 +87,6 @@ type req_meta = {
 
 type t = {
   cfg : config;
-  base_config : Chimera.Config.t;
   workers : Worker.t array;
   mutable ring : Ring.t;
   events : event Queue.t;
@@ -94,8 +94,8 @@ type t = {
   hot_order : string Queue.t;
   mutable hot_stored : int;
   mutable force_replicate : bool;
-  health_replies : (int, Util.Json.t) Hashtbl.t;
-  stats_replies : (int, Util.Json.t) Hashtbl.t;
+  probe_replies : (int, Util.Json.t) Hashtbl.t;
+      (* probe replies since the current sweep began, by ticket seq *)
   mutable seq : int;
   (* router-level counters, exposed by [counters] *)
   mutable received : int;
@@ -114,7 +114,6 @@ type t = {
   (* distributed tracing + SLO *)
   tracing : trace_state option;
   pending_meta : (int, req_meta) Hashtbl.t;
-  spans_replies : (int, unit) Hashtbl.t;
   slo : Obs.Slo.t;
   request_latency_ms : Obs.Histogram.t;
   mutable answered_ok : int;
@@ -126,8 +125,7 @@ let now () = Unix.gettimeofday ()
 let default_slo_objectives =
   [ Obs.Slo.availability 0.999; Obs.Slo.latency ~threshold_ms:250.0 0.99 ]
 
-let create ?(cfg = default_config) ?(base_config = Chimera.Config.default)
-    ?(tracing = false) ?(trace_seed = 1) ?slo cmds =
+let create ?(cfg = default_config) ?(tracing = false) ?slo cmds =
   let n = Array.length cmds in
   if n = 0 then invalid_arg "Router.create: no workers";
   if cfg.queue_depth <= 0 || cfg.soft_depth < 0 then
@@ -151,7 +149,6 @@ let create ?(cfg = default_config) ?(base_config = Chimera.Config.default)
   end;
   {
     cfg;
-    base_config;
     workers;
     ring = Ring.create ~vnodes:cfg.vnodes (List.init n Fun.id);
     events = Queue.create ();
@@ -159,8 +156,7 @@ let create ?(cfg = default_config) ?(base_config = Chimera.Config.default)
     hot_order = Queue.create ();
     hot_stored = 0;
     force_replicate = false;
-    health_replies = Hashtbl.create 8;
-    stats_replies = Hashtbl.create 8;
+    probe_replies = Hashtbl.create 8;
     seq = 0;
     received = 0;
     routed = 0;
@@ -180,11 +176,10 @@ let create ?(cfg = default_config) ?(base_config = Chimera.Config.default)
          Some
            {
              collector = Obs.Collector.create ();
-             sampler = Obs.Sampler.create ~seed:trace_seed ();
+             sampler = Obs.Sampler.create ~seed:1 ();
            }
        else None);
     pending_meta = Hashtbl.create 64;
-    spans_replies = Hashtbl.create 8;
     slo =
       (match slo with
       | Some s -> s
@@ -197,7 +192,6 @@ let create ?(cfg = default_config) ?(base_config = Chimera.Config.default)
 let size t = Array.length t.workers
 let worker_pid t id = t.workers.(id).Worker.pid
 let worker_restarts_of t id = t.workers.(id).Worker.restarts
-let ring t = t.ring
 
 (* ------------------------------------------------------------------ *)
 (* JSON field surgery (ids and injected deadlines)                      *)
@@ -403,7 +397,7 @@ let hot_note_response t key json =
           entry.stored <- Some (without_field "trace" (without_field "id" json));
           Queue.add key t.hot_order;
           t.hot_stored <- t.hot_stored + 1;
-          while t.hot_stored > t.cfg.hot_capacity do
+          while t.hot_stored > hot_capacity do
             let victim = Queue.take t.hot_order in
             (match Hashtbl.find_opt t.hot victim with
             | Some e -> e.stored <- None
@@ -466,7 +460,7 @@ and note_strike t (w : Worker.t) ~reason =
     let delay =
       if strikes <= 1 then 0.0
       else
-        Float.min t.cfg.restart_backoff_max_s
+        Float.min restart_backoff_max_s
           (t.cfg.restart_backoff_s *. (2.0 ** float_of_int (strikes - 2)))
     in
     w.Worker.down_until <- at +. delay;
@@ -501,14 +495,29 @@ let fail_worker ?first_error t (w : Worker.t) ~reason =
           in
           finish_request t ~seq:ticket.Worker.seq ~worker:w.Worker.id
             ~client_id ~outcome:(Dropped err)
-      | Worker.Probe_health | Worker.Probe_stats | Worker.Probe_spans -> ())
+      | Worker.Probe -> ())
     tickets;
   Worker.kill w;
   note_strike t w ~reason
 
-(* Kept under its old name for the call sites whose semantics did not
-   change: fail, then (on a first strike) respawn immediately. *)
-let restart_worker t (w : Worker.t) ~reason = fail_worker t w ~reason
+(* Late-drained worker pieces: error responses could not piggyback
+   their spans, so a [cmd:spans] reply carries them — whenever it
+   arrives — and they attach to their (already judged) traces when
+   retained. *)
+let absorb_spans t json =
+  match (t.tracing, Util.Json.member "spans" json) with
+  | Some ts, Some (Util.Json.List payloads) ->
+      List.iter
+        (fun payload ->
+          match Obs.Collector.add_shipped ts.collector payload with
+          | Error _ -> ()
+          | Ok trace_id -> (
+              match Obs.Collector.take ts.collector trace_id with
+              | Some assembled ->
+                  ignore (Obs.Sampler.merge_late ts.sampler assembled)
+              | None -> ()))
+        payloads
+  | _ -> ()
 
 let handle_line t (w : Worker.t) line =
   w.Worker.answered <- w.Worker.answered + 1;
@@ -537,8 +546,7 @@ let handle_line t (w : Worker.t) line =
                      (Service.Error.Internal
                         (Printf.sprintf "worker %d: unparseable reply"
                            w.Worker.id)))
-          | Worker.Probe_health | Worker.Probe_stats | Worker.Probe_spans ->
-              ());
+          | Worker.Probe -> ());
           fail_worker t w ~reason:"unparseable reply"
       | Ok json -> (
           w.Worker.consecutive_failures <- 0;
@@ -547,35 +555,9 @@ let handle_line t (w : Worker.t) line =
               hot_note_response t key json;
               finish_request t ~seq:ticket.Worker.seq ~worker:w.Worker.id
                 ~client_id ~outcome:(Reply { line; json })
-          | Worker.Probe_health ->
-              Hashtbl.replace t.health_replies w.Worker.id json
-          | Worker.Probe_stats ->
-              Hashtbl.replace t.stats_replies w.Worker.id json
-          | Worker.Probe_spans ->
-              (* Late-drained worker pieces: error responses could not
-                 piggyback their spans, so they arrive here and attach
-                 to their (already judged) traces when retained. *)
-              Hashtbl.replace t.spans_replies w.Worker.id ();
-              (match t.tracing with
-              | None -> ()
-              | Some ts -> (
-                  match Util.Json.member "spans" json with
-                  | Some (Util.Json.List payloads) ->
-                      List.iter
-                        (fun payload ->
-                          match
-                            Obs.Collector.add_shipped ts.collector payload
-                          with
-                          | Error _ -> ()
-                          | Ok trace_id -> (
-                              match Obs.Collector.take ts.collector trace_id with
-                              | Some assembled ->
-                                  ignore
-                                    (Obs.Sampler.merge_late ts.sampler
-                                       assembled)
-                              | None -> ()))
-                        payloads
-                  | _ -> ()))))
+          | Worker.Probe ->
+              absorb_spans t json;
+              Hashtbl.replace t.probe_replies ticket.Worker.seq json))
 
 (* The supervisor's periodic duties, run on every pump: resume workers
    whose chaos stall elapsed, respawn workers whose backoff elapsed,
@@ -625,7 +607,7 @@ let pump ?(timeout_s = 0.0) t =
         (fun (w : Worker.t) ->
           if List.memq w.Worker.stdout_fd readable then
             match Worker.read_lines w with
-            | `Eof -> fail_worker t w ~reason:"process died"
+            | `Eof _ -> fail_worker t w ~reason:"process died"
             | `Lines lines ->
                 (* A line can fail the worker (garbage); anything after
                    it in the same read belongs to a dead process. *)
@@ -661,7 +643,7 @@ let submit ?id ?raw t (req : Service.Request.t) =
       t.rejected_invalid <- t.rejected_invalid + 1;
       Answered (note_answered t req (Service.Error.to_json ?id e))
   | Ok (chain, machine) -> (
-      let config = Service.Request.config_of ~base:t.base_config req in
+      let config = Service.Request.config_of req in
       let fp = Service.Fingerprint.of_request ~chain ~machine ~config in
       let key = Service.Fingerprint.to_hex fp in
       match hot_lookup t key with
@@ -743,7 +725,7 @@ let submit ?id ?raw t (req : Service.Request.t) =
             else begin
               (* The pipe died under us: restart the slot and shed this
                  request (retryable — the fresh worker will take it). *)
-              restart_worker t w ~reason:"write failed";
+              fail_worker t w ~reason:"write failed";
               t.shed <- t.shed + 1;
               let json = overloaded_json ?id
                   (Printf.sprintf "worker %d restarting" w.Worker.id)
@@ -767,86 +749,75 @@ let probe_json = {|{"cmd": "health"}|}
 let stats_json_line = {|{"cmd": "stats", "full": true}|}
 let spans_json_line = {|{"cmd": "spans"}|}
 
-(* Ask every worker for its spooled ship payloads (the spans of traced
-   error responses).  Replies are applied by [handle_line]'s
-   [Probe_spans] arm as they arrive; this just waits for them.  Returns
-   how many workers answered the sweep.  No-op with tracing off. *)
-let drain_spans ?(timeout_s = 2.0) t =
-  if not (tracing_enabled t) then 0
-  else begin
-    Hashtbl.reset t.spans_replies;
-    let probed =
-      Array.to_list t.workers
-      |> List.filter_map (fun (w : Worker.t) ->
-             if w.Worker.alive && Worker.send_line w spans_json_line then begin
-               t.seq <- t.seq + 1;
-               Worker.enqueue w ~seq:t.seq ~kind:Worker.Probe_spans;
-               Some w
-             end
-             else None)
-    in
-    let deadline = now () +. timeout_s in
-    let all_replied () =
-      List.for_all
-        (fun (w : Worker.t) -> Hashtbl.mem t.spans_replies w.Worker.id)
-        probed
-    in
-    while (not (all_replied ())) && now () < deadline do
-      pump ~timeout_s:(Float.max 0.01 (Float.min 0.05 (deadline -. now ()))) t
-    done;
-    Hashtbl.length t.spans_replies
-  end
-
-(* Synchronous in-band health sweep.  The serve loop is serial, so the
-   reply arriving at all is the liveness signal; a worker that answers
-   nothing within [health_timeout_s] scores a consecutive failure, and
-   [restart_after] of those restarts the slot.  Request events arriving
-   meanwhile stay queued for the caller's next [poll]. *)
-let check_health ?timeout_s t =
-  let timeout_s =
-    match timeout_s with Some s -> s | None -> t.cfg.health_timeout_s
-  in
-  Hashtbl.reset t.health_replies;
+(* The one send-and-wait sweep: send [line] to every live worker and
+   pump until each has answered or [timeout_s] passed.  Replies are
+   matched by ticket seq, so a late reply to an earlier sweep can never
+   answer this one.  A failed write restarts the slot.  Request events
+   arriving meanwhile stay queued for the caller's next [poll].
+   Returns each probed worker with its reply, if it came in time. *)
+let broadcast t ~timeout_s line =
+  Hashtbl.reset t.probe_replies;
   let probed =
     Array.to_list t.workers
     |> List.filter_map (fun (w : Worker.t) ->
            if not w.Worker.alive then None
+           else if Worker.send_line w line then begin
+             t.seq <- t.seq + 1;
+             Worker.enqueue w ~seq:t.seq ~kind:Worker.Probe;
+             Some (w, t.seq)
+           end
            else begin
-             t.health_probes <- t.health_probes + 1;
-             if Worker.send_line w probe_json then begin
-               t.seq <- t.seq + 1;
-               Worker.enqueue w ~seq:t.seq ~kind:Worker.Probe_health;
-               Some w
-             end
-             else begin
-               restart_worker t w ~reason:"health probe write failed";
-               None
-             end
+             fail_worker t w ~reason:"probe write failed";
+             None
            end)
   in
   let deadline = now () +. timeout_s in
-  let all_replied () =
-    List.for_all
-      (fun (w : Worker.t) -> Hashtbl.mem t.health_replies w.Worker.id)
-      probed
-  in
-  while (not (all_replied ())) && now () < deadline do
+  while
+    List.exists (fun (_, seq) -> not (Hashtbl.mem t.probe_replies seq)) probed
+    && now () < deadline
+  do
     pump ~timeout_s:(Float.max 0.01 (Float.min 0.05 (deadline -. now ()))) t
   done;
+  List.map (fun (w, seq) -> (w, Hashtbl.find_opt t.probe_replies seq)) probed
+
+(* Ask every worker for its spooled ship payloads (the spans of traced
+   error responses); [handle_line] applies them as they arrive.
+   Returns how many workers answered the sweep.  No-op with tracing
+   off. *)
+let drain_spans ?(timeout_s = 2.0) t =
+  if not (tracing_enabled t) then 0
+  else
+    List.length
+      (List.filter
+         (fun (_, reply) -> reply <> None)
+         (broadcast t ~timeout_s spans_json_line))
+
+(* Synchronous in-band health sweep.  The serve loop is serial, so the
+   reply arriving at all is the liveness signal; a worker that answers
+   nothing within [health_timeout_s] scores a consecutive failure, and
+   [restart_after] of those restarts the slot. *)
+let check_health ?timeout_s t =
+  let timeout_s =
+    match timeout_s with Some s -> s | None -> t.cfg.health_timeout_s
+  in
+  Array.iter
+    (fun (w : Worker.t) ->
+      if w.Worker.alive then t.health_probes <- t.health_probes + 1)
+    t.workers;
   let results =
     List.map
-      (fun (w : Worker.t) ->
-        match Hashtbl.find_opt t.health_replies w.Worker.id with
+      (fun ((w : Worker.t), reply) ->
+        match reply with
         | Some json -> (w.Worker.id, `Ok json)
         | None ->
             t.health_failures <- t.health_failures + 1;
             w.Worker.consecutive_failures <- w.Worker.consecutive_failures + 1;
             if w.Worker.consecutive_failures >= t.cfg.restart_after then begin
-              restart_worker t w ~reason:"unresponsive to health probes";
+              fail_worker t w ~reason:"unresponsive to health probes";
               (w.Worker.id, `Restarted)
             end
             else (w.Worker.id, `Unanswered))
-      probed
+      (broadcast t ~timeout_s probe_json)
   in
   (* The health sweep doubles as the span drain: flagged error traces
      reach the flight recorder within one sweep period. *)
@@ -863,38 +834,16 @@ let check_health ?timeout_s t =
    quantiles.  Workers that answer nothing within the timeout are
    simply absent from this scrape. *)
 let collect_stats ?(timeout_s = 5.0) t =
-  Hashtbl.reset t.stats_replies;
-  let probed =
-    Array.to_list t.workers
-    |> List.filter_map (fun (w : Worker.t) ->
-           if w.Worker.alive && Worker.send_line w stats_json_line then begin
-             t.seq <- t.seq + 1;
-             Worker.enqueue w ~seq:t.seq ~kind:Worker.Probe_stats;
-             Some w
-           end
-           else None)
-  in
-  let deadline = now () +. timeout_s in
-  let all_replied () =
-    List.for_all
-      (fun (w : Worker.t) -> Hashtbl.mem t.stats_replies w.Worker.id)
-      probed
-  in
-  while (not (all_replied ())) && now () < deadline do
-    pump ~timeout_s:(Float.max 0.01 (Float.min 0.05 (deadline -. now ()))) t
-  done;
   let per_worker =
     List.filter_map
-      (fun (w : Worker.t) ->
-        match Hashtbl.find_opt t.stats_replies w.Worker.id with
-        | None -> None
-        | Some json -> (
+      (fun ((w : Worker.t), reply) ->
+        Option.bind reply (fun json ->
             match Service.Metrics.of_wire_json json with
             | Ok m -> Some (w.Worker.id, m)
             | Error _ ->
                 t.protocol_errors <- t.protocol_errors + 1;
                 None))
-      probed
+      (broadcast t ~timeout_s stats_json_line)
   in
   let merged = Service.Metrics.create () in
   List.iter (fun (_, m) -> Service.Metrics.merge ~into:merged m) per_worker;
@@ -1010,10 +959,8 @@ let inject t (ev : Chaos.event) =
         handle_line t w "{chaos garbage, not json"
 
 let stats_json ?id t ~merged ~per_worker =
-  Util.Json.Obj
-    ((match id with Some v -> [ ("id", v) ] | None -> [])
-    @ [
-        ("ok", Util.Json.Bool true);
+  Service.Serve.control ?id
+    ([
         ("workers", Util.Json.Int (size t));
         ("workers_reporting", Util.Json.Int (List.length per_worker));
         ( "router",

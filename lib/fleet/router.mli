@@ -27,8 +27,8 @@ type config = {
   replicate_after : int;
       (** hot replication: store a response router-side after this many
           successful answers for its fingerprint; 0 disables
-          (default 2). *)
-  hot_capacity : int;  (** max stored hot responses (default 256). *)
+          (default 2).  At most 256 responses are stored, evicted
+          FIFO. *)
   health_timeout_s : float;  (** per-sweep probe budget (default 2). *)
   restart_after : int;
       (** restart a worker after this many consecutive unanswered
@@ -36,8 +36,7 @@ type config = {
   restart_backoff_s : float;
       (** supervisor backoff base: the first strike in a window
           respawns immediately, the second waits this long, then
-          doubling (default 0.25). *)
-  restart_backoff_max_s : float;  (** backoff ceiling (default 5). *)
+          doubling up to 5 s (default 0.25). *)
   breaker_restarts : int;
       (** circuit breaker: this many strikes within [breaker_window_s]
           takes the slot permanently down and removes its ring points
@@ -72,12 +71,9 @@ and outcome =
           [Internal]). *)
 
 val create :
-  ?cfg:config -> ?base_config:Chimera.Config.t -> ?tracing:bool ->
-  ?trace_seed:int -> ?slo:Obs.Slo.t -> string array array -> t
-(** Spawn one worker per argv and build the ring.  [base_config] seeds
-    {!Service.Request.config_of} for fingerprinting (it must match what
-    the workers themselves plan with, or hot-cache keys and worker
-    cache keys disagree — harmlessly, but replication stops helping).
+  ?cfg:config -> ?tracing:bool -> ?slo:Obs.Slo.t -> string array array -> t
+(** Spawn one worker per argv and build the ring.  Requests are
+    fingerprinted under {!Chimera.Config.default}, as the workers plan.
 
     [tracing] (default false) turns on distributed tracing: every
     routed request gets a router-side ["fleet.request"] span (adopting
@@ -85,7 +81,7 @@ val create :
     re-stamped with the router span's context so the worker parents
     under it, completed worker spans are collected from response
     piggybacks and [cmd:spans] drains, and a tail-sampling flight
-    recorder ({!Obs.Sampler}, seeded with [trace_seed], default 1)
+    recorder ({!Obs.Sampler}, seed 1)
     retains every slow/errored/shed/degraded/retried/chaos-affected
     trace plus a probabilistic sample of healthy ones.
 
@@ -121,7 +117,9 @@ val poll : ?timeout_s:float -> t -> event list
 
 val check_health : ?timeout_s:float -> t ->
   (int * [ `Ok of Util.Json.t | `Unanswered | `Restarted ]) list
-(** Probe every worker with [cmd:health] and wait for the replies.  A
+(** Probe every worker with [cmd:health] and wait for the replies
+    (the sweep {!drain_spans} and {!collect_stats} share: replies are
+    matched by ticket, so a late reply never answers a later sweep).  A
     worker that answers nothing scores a consecutive failure;
     [restart_after] of those restarts the slot (clients queued on it
     get [Dropped] events on the next {!poll}).  Request traffic keeps
@@ -227,7 +225,6 @@ val prometheus :
     [chimera_slo_*] gauges ({!Obs.Slo.to_prometheus}). *)
 
 val size : t -> int
-val ring : t -> Ring.t
 val worker_pid : t -> int -> int
 val worker_restarts_of : t -> int -> int
 

@@ -6,7 +6,7 @@
    serial and answers one line per line in order, correlation is a FIFO
    ticket queue — no id rewriting on the wire.  Reads are raw [Unix]
    reads driven by the router's [select] loop, split into complete
-   lines here; a zero-byte read is the child's EOF (death), which the
+   lines by a {!Line_reader}; EOF is the child's death, which the
    router turns into a restart. *)
 
 type kind =
@@ -14,9 +14,7 @@ type kind =
       (** a routed request: [key] is the fingerprint hex (for the
           router's hot-entry replication), [client_id] the caller's
           ["id"] field if any (echoed in synthesized failures). *)
-  | Probe_health
-  | Probe_stats
-  | Probe_spans
+  | Probe
 
 type ticket = { seq : int; kind : kind; sent_at : float }
 
@@ -27,7 +25,7 @@ type t = {
   mutable stdin_fd : Unix.file_descr;
   mutable stdout_fd : Unix.file_descr;
   mutable alive : bool;
-  rbuf : Buffer.t;
+  reader : Line_reader.t;
   pending : ticket Queue.t;
   mutable consecutive_failures : int;
   mutable restarts : int;
@@ -99,7 +97,7 @@ let spawn ~id ~cmd =
     stdin_fd;
     stdout_fd;
     alive = true;
-    rbuf = Buffer.create 4096;
+    reader = Line_reader.create ();
     pending = Queue.create ();
     consecutive_failures = 0;
     restarts = 0;
@@ -137,7 +135,7 @@ let kill t =
 let respawn t =
   kill t;
   Queue.clear t.pending;
-  Buffer.clear t.rbuf;
+  Line_reader.reset t.reader;
   let pid, stdin_fd, stdout_fd = launch t.cmd in
   t.pid <- pid;
   t.stdin_fd <- stdin_fd;
@@ -202,27 +200,7 @@ let drain_pending t =
   Queue.clear t.pending;
   all
 
-(* Called when [select] reported the child's stdout readable: pull what
-   is there and return the complete lines.  [`Eof] means the child died
-   (or closed stdout, which for a serve loop is the same thing). *)
-let read_lines t =
-  let chunk = Bytes.create 65536 in
-  match Unix.read t.stdout_fd chunk 0 (Bytes.length chunk) with
-  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EINTR), _, _) -> `Lines []
-  | exception Unix.Unix_error _ -> `Eof
-  | 0 -> `Eof
-  | n ->
-      Buffer.add_subbytes t.rbuf chunk 0 n;
-      let data = Buffer.contents t.rbuf in
-      let lines = ref [] in
-      let start = ref 0 in
-      String.iteri
-        (fun i c ->
-          if c = '\n' then begin
-            lines := String.sub data !start (i - !start) :: !lines;
-            start := i + 1
-          end)
-        data;
-      Buffer.clear t.rbuf;
-      Buffer.add_substring t.rbuf data !start (String.length data - !start);
-      `Lines (List.rev !lines)
+(* Called when [select] reported the child's stdout readable.  At
+   [`Eof] the child died (or closed stdout, the same thing for a serve
+   loop); an unterminated last line of a dead process is no answer. *)
+let read_lines t = Line_reader.read t.reader t.stdout_fd

@@ -10,9 +10,10 @@
 
 type kind =
   | Request of { key : string; client_id : Util.Json.t option }
-  | Probe_health
-  | Probe_stats
-  | Probe_spans  (** a [cmd:spans] drain of the shipped-span spool *)
+  | Probe
+      (** a control line ([cmd:health], [cmd:stats], [cmd:spans]) sent
+          by a router sweep; its reply is matched to the sweep by the
+          ticket's [seq]. *)
 
 type ticket = { seq : int; kind : kind; sent_at : float }
 
@@ -23,7 +24,7 @@ type t = {
   mutable stdin_fd : Unix.file_descr;
   mutable stdout_fd : Unix.file_descr;
   mutable alive : bool;
-  rbuf : Buffer.t;
+  reader : Line_reader.t;
   pending : ticket Queue.t;
   mutable consecutive_failures : int;
       (** health probes failed in a row; reset by any reply. *)
@@ -92,6 +93,7 @@ val pop_ticket : t -> ticket option
 val drain_pending : t -> ticket list
 (** Remove and return all outstanding tickets (worker death path). *)
 
-val read_lines : t -> [ `Lines of string list | `Eof ]
+val read_lines : t -> [ `Lines of string list | `Eof of string option ]
 (** Pull available output (call when [select] reports readability) and
-    return the complete lines; [`Eof] when the child died. *)
+    return the complete lines ({!Line_reader.read}); [`Eof] when the
+    child died. *)

@@ -19,12 +19,40 @@ let timings_json trace =
        (fun (name, ms) -> (name, Util.Json.Float ms))
        (Obs.Trace.phase_totals_ms trace))
 
+(* The line envelope, shared with the fleet bridge so a fleet answers
+   exactly like one worker: parse, pick out [id] and [cmd], and the
+   answers that do not depend on what the line asked for. *)
+type line = { id : Util.Json.t option; cmd : string option; json : Util.Json.t }
+
+let parse_line text =
+  match Util.Json.parse text with
+  | Error reason -> Error (Error.Invalid_request { field = "json"; reason })
+  | Ok json ->
+      Ok
+        {
+          id = Util.Json.member "id" json;
+          cmd =
+            Option.bind (Util.Json.member "cmd" json) Util.Json.to_string_opt;
+          json;
+        }
+
+let unknown_cmd cmd =
+  Error.Invalid_request
+    { field = "cmd"; reason = Printf.sprintf "unknown cmd %S" cmd }
+
+(* The line's ["id"], echoed first in every answer object. *)
+let with_id ?id json =
+  match (id, json) with
+  | Some v, Util.Json.Obj fields -> Util.Json.Obj (("id", v) :: fields)
+  | _ -> json
+
+let control ?id fields =
+  with_id ?id (Util.Json.Obj (("ok", Util.Json.Bool true) :: fields))
+
 let response_json ?id ?timings_of ?ship req (r : Batch.response) =
   let open Util.Json in
-  let id_field = match id with Some v -> [ ("id", v) ] | None -> [] in
-  Obj
-    (id_field
-    @ [
+  with_id ?id @@ Obj
+    ([
         ("ok", Bool true);
         ("workload", String req.Request.workload);
         ("arch", String req.Request.arch);
@@ -77,29 +105,23 @@ let response_json ?id ?timings_of ?ship req (r : Batch.response) =
 
 let default_trace_ring = 32
 
-let run ?cache ?metrics ?(config = Chimera.Config.default) ?cache_dir
-    ?default_deadline_ms ?pool ?(verify = Batch.Verify_off)
-    ?(trace_ring = default_trace_ring) ic oc =
-  let metrics = match metrics with Some m -> m | None -> Metrics.create () in
+let run ?cache_dir ?default_deadline_ms ?(verify = Batch.Verify_off) ic oc =
+  let metrics = Metrics.create () in
   (* Every request is planned on the shared pool: the per-order solves
      of a single request fan across the lanes, so the serve loop is
      multicore even at its natural batch size of one. *)
-  let pool = match pool with Some p -> p | None -> Util.Pool.global () in
-  let cache =
-    match cache with
-    | Some c -> c
-    | None -> Plan_cache.create ~metrics ()
-  in
+  let pool = Util.Pool.global () in
+  let cache = Plan_cache.create ~metrics () in
   (* The last N request traces, dumpable with {"cmd": "traces"} —
      bounded memory however long the server runs. *)
-  let ring : Obs.Trace.t Obs.Ring.t = Obs.Ring.create trace_ring in
+  let ring : Obs.Trace.t Obs.Ring.t = Obs.Ring.create default_trace_ring in
   (* Ship payloads for traced requests whose response could not carry
      them (error responses keep their wire schema).  The router drains
      this with {"cmd": "spans"} on its health sweep; bounded, so an
      undrained spool costs memory never growth — evictions are counted
      into [trace_ring_evictions]. *)
   let span_spool : Util.Json.t Obs.Ring.t =
-    Obs.Ring.create (Int.max 64 trace_ring)
+    Obs.Ring.create (Int.max 64 default_trace_ring)
   in
   let note_trace_loss () =
     metrics.Metrics.trace_ring_evictions <-
@@ -169,7 +191,7 @@ let run ?cache ?metrics ?(config = Chimera.Config.default) ?cache_dir
               ];
             emit_error ?id e
         | Ok (chain, machine) -> (
-            let config = Request.config_of ~base:config req in
+            let config = Request.config_of req in
             let deadline =
               Request.deadline_of ?default_ms:default_deadline_ms req
             in
@@ -239,19 +261,16 @@ let run ?cache ?metrics ?(config = Chimera.Config.default) ?cache_dir
                 end;
                 emit_error ?id e))
   in
-  let handle_line line =
-    Failpoint.hit ~ctx:line "serve.handle";
-    match Util.Json.parse line with
+  let handle_line text =
+    Failpoint.hit ~ctx:text "serve.handle";
+    match parse_line text with
     | Error e ->
         metrics.Metrics.invalid_requests <-
           metrics.Metrics.invalid_requests + 1;
-        emit_error (Error.Invalid_request { field = "json"; reason = e });
+        emit_error e;
         `Continue
-    | Ok json -> (
-        let id = Util.Json.member "id" json in
-        match
-          Option.bind (Util.Json.member "cmd" json) Util.Json.to_string_opt
-        with
+    | Ok { id; cmd; json } -> (
+        match cmd with
         | Some "stats" ->
             (* "full": true answers the lossless wire form (per-bucket
                histogram counts) that the fleet router merges across
@@ -262,8 +281,9 @@ let run ?cache ?metrics ?(config = Chimera.Config.default) ?cache_dir
               = Some true
             in
             emit
-              (if full then Metrics.to_wire_json metrics
-               else Metrics.to_json metrics);
+              (with_id ?id
+                 (if full then Metrics.to_wire_json metrics
+                  else Metrics.to_json metrics));
             `Continue
         | Some "health" ->
             (* Liveness for the fleet router: a wedged worker answers
@@ -274,9 +294,8 @@ let run ?cache ?metrics ?(config = Chimera.Config.default) ?cache_dir
                construction here; the router tracks queued depth from
                its side. *)
             emit
-              (Util.Json.Obj
+              (control ?id
                  [
-                   ("ok", Util.Json.Bool true);
                    ("pid", Util.Json.Int (Unix.getpid ()));
                    ( "uptime_s",
                      Util.Json.Float (Unix.gettimeofday () -. started_at) );
@@ -299,9 +318,8 @@ let run ?cache ?metrics ?(config = Chimera.Config.default) ?cache_dir
                at shutdown so flagged traces reach the flight recorder. *)
             let payloads = Obs.Ring.drain span_spool in
             emit
-              (Util.Json.Obj
+              (control ?id
                  [
-                   ("ok", Util.Json.Bool true);
                    ("count", Util.Json.Int (List.length payloads));
                    ("spans", Util.Json.List payloads);
                  ]);
@@ -309,26 +327,20 @@ let run ?cache ?metrics ?(config = Chimera.Config.default) ?cache_dir
         | Some "traces" ->
             let traces = Obs.Ring.to_list ring in
             emit
-              (Util.Json.Obj
+              (control ?id
                  [
-                   ("ok", Util.Json.Bool true);
                    ("count", Util.Json.Int (List.length traces));
                    ( "traces",
                      Util.Json.List (List.map Obs.Trace.to_json traces) );
                  ]);
             `Continue
         | Some "quit" ->
-            emit (Util.Json.Obj [ ("ok", Util.Json.Bool true) ]);
+            emit (control ?id []);
             `Stop
         | Some other ->
             metrics.Metrics.invalid_requests <-
               metrics.Metrics.invalid_requests + 1;
-            emit_error ?id
-              (Error.Invalid_request
-                 {
-                   field = "cmd";
-                   reason = Printf.sprintf "unknown cmd %S" other;
-                 });
+            emit_error ?id (unknown_cmd other);
             `Continue
         | None -> handle_request ?id json; `Continue)
   in

@@ -6,7 +6,8 @@
     dependency.
 
     Request lines are {!Request} wire objects, optionally carrying an
-    ["id"] that is echoed back.  Four control forms exist:
+    ["id"] that is echoed back — by control answers too.  Control
+    forms:
     [{"cmd": "stats"}] answers with the {!Metrics} counters and latency
     histograms ([{"cmd": "stats", "full": true}] answers the lossless
     per-bucket wire form of {!Metrics.to_wire_json}, which the fleet
@@ -22,8 +23,8 @@
 
     {2 Observability}
 
-    Every request is compiled under its own {!Obs.Trace}; the last
-    [trace_ring] traces (default 32, success and failure alike) are
+    Every request is compiled under its own {!Obs.Trace}; the last 32
+    traces (success and failure alike) are
     kept in a bounded ring buffer for the ["traces"] verb.  A request
     carrying ["timings": true] gets two extra response fields —
     ["trace_id"] and ["timings_ms"], per-phase wall-clock totals from
@@ -77,13 +78,32 @@
     {!Batch.Verify_strict} a failing response answers
     [code: "verify_failed"]. *)
 
+type line = {
+  id : Util.Json.t option;  (** the ["id"] member, echoed in the answer. *)
+  cmd : string option;  (** the ["cmd"] member: [None] is a request. *)
+  json : Util.Json.t;
+}
+(** One parsed input line.  The envelope ({!parse_line}, {!unknown_cmd},
+    {!control}) is shared with the fleet's JSONL loop
+    ([Fleet.Bridge]), so a fleet answers malformed lines, unknown
+    commands and control lines exactly like a single worker. *)
+
+val parse_line : string -> (line, Error.t) result
+(** [Error] (an [invalid_request] naming [field: "json"]) when the line
+    is not JSON. *)
+
+val unknown_cmd : string -> Error.t
+(** The [invalid_request] answer ([field: "cmd"]) to an unknown
+    command. *)
+
+val control : ?id:Util.Json.t -> (string * Util.Json.t) list -> Util.Json.t
+(** A control answer: [{"id"?, "ok": true, fields...}]. *)
+
 val run :
-  ?cache:Plan_cache.t -> ?metrics:Metrics.t -> ?config:Chimera.Config.t ->
-  ?cache_dir:string -> ?default_deadline_ms:float -> ?pool:Util.Pool.t ->
-  ?verify:Batch.verify_mode -> ?trace_ring:int -> in_channel ->
-  out_channel -> unit
+  ?cache_dir:string -> ?default_deadline_ms:float ->
+  ?verify:Batch.verify_mode -> in_channel -> out_channel -> unit
 (** Serve until EOF or [{"cmd": "quit"}].  Output is flushed after
-    every line.  Requests are planned on [pool] (default the
-    process-wide {!Util.Pool.global}, sized by [CHIMERA_DOMAINS]): each
-    request's candidate-order solves fan across the lanes, so a single
-    in-flight request is already multicore. *)
+    every line.  Requests are planned on the process-wide
+    {!Util.Pool.global} (sized by [CHIMERA_DOMAINS]): each request's
+    candidate-order solves fan across the lanes, so a single in-flight
+    request is already multicore. *)

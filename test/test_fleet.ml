@@ -623,6 +623,139 @@ let router_tests =
             | _ -> Alcotest.fail "expected a dropped event");
             check_int "protocol error counted" 1
               (counter router "protocol_errors")));
+    case "a late probe reply never answers a later sweep" (fun () ->
+        (* Answers its first line after 0.5 s and every later one
+           0.1 s after reading it, so a late reply and the reply after
+           it arrive in separate reads: health probes with a marked
+           reply, anything else with a valid (empty) stats wire
+           object. *)
+        let wire =
+          Util.Json.to_string
+            (Service.Metrics.to_wire_json (Service.Metrics.create ()))
+        in
+        let late_worker =
+          sh
+            (Printf.sprintf
+               {|answer() {
+                   case "$1" in
+                     *health*) printf '%%s\n' '{"ok": true, "probe": "health"}' ;;
+                     *) printf '%%s\n' '%s' ;;
+                   esac
+                 }
+                 read l; sleep 0.5; answer "$l"
+                 while read l; do sleep 0.1; answer "$l"; done|}
+               wire)
+        in
+        with_router [| late_worker |] (fun router ->
+            let _, per_worker = Fleet.Router.collect_stats ~timeout_s:0.1 router in
+            check_int "the slow worker missed the scrape" 0
+              (List.length per_worker);
+            (match Fleet.Router.check_health router with
+            | [ (0, `Ok json) ] ->
+                check_true "the health reply, not the late stats reply"
+                  (Util.Json.member "probe" json
+                  = Some (Util.Json.String "health"))
+            | _ -> Alcotest.fail "expected the worker's health reply");
+            let _, per_worker = Fleet.Router.collect_stats router in
+            check_int "the next scrape hears the worker" 1
+              (List.length per_worker);
+            check_int "no protocol error" 0 (counter router "protocol_errors")));
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* The fleet's JSONL front end                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* Feed [text] to [loop] through a pipe and collect its answer lines. *)
+let through_pipe text loop =
+  let r, w = Unix.pipe ~cloexec:true () in
+  check_int "input fits the pipe" (String.length text)
+    (Unix.write_substring w text 0 (String.length text));
+  Unix.close w;
+  let path = Filename.temp_file "chimera-bridge" ".out" in
+  let oc = open_out path in
+  Fun.protect
+    ~finally:(fun () ->
+      close_out_noerr oc;
+      Unix.close r;
+      Sys.remove path)
+    (fun () ->
+      loop r oc;
+      close_out oc;
+      In_channel.with_open_text path In_channel.input_all
+      |> String.split_on_char '\n'
+      |> List.filter (fun l -> l <> ""))
+
+let check_lines = Alcotest.(check (list string))
+
+let parse_answer line =
+  match Util.Json.parse line with
+  | Ok j -> j
+  | Error e -> Alcotest.failf "unparseable answer %S: %s" line e
+
+let bridge router text =
+  through_pipe text (fun input output ->
+      Fleet.Bridge.run ~health_interval_s:0.0 ~input ~output router)
+
+let bridge_tests =
+  [
+    case "the bridge answers every line, the unterminated last one too"
+      (fun () ->
+        let text =
+          String.concat "\n"
+            [
+              {|{"workload": "G2", "arch": "cpu", "id": "r1"}|};
+              {|{"workload": "G2", "arch": "cpu", "batch": 2, "id": "r2"}|};
+              {|{"cmd": "health", "id": "h"}|};
+              {|{"cmd": "nope", "id": "u"}|};
+              {|{not json|};
+              {|{"workload": "G2", "arch": "cpu", "batch": 3, "id": "last"}|};
+            ]
+        in
+        (* cat workers echo the forwarded request, id included. *)
+        with_router [| cat_worker; cat_worker |] (fun router ->
+            let answers = List.map parse_answer (bridge router text) in
+            check_int "one answer per line" 6 (List.length answers);
+            let ids =
+              List.filter_map
+                (fun j ->
+                  Option.bind (Util.Json.member "id" j) Util.Json.to_string_opt)
+                answers
+            in
+            check_lines "every id answered"
+              [ "h"; "last"; "r1"; "r2"; "u" ]
+              (List.sort compare ids);
+            let field_of id =
+              List.find_map
+                (fun j ->
+                  if Util.Json.member "id" j = id then
+                    Util.Json.member "field" j
+                  else None)
+                answers
+            in
+            check_true "malformed JSON names field json"
+              (field_of None = Some (Util.Json.String "json"));
+            check_true "unknown cmd names field cmd"
+              (field_of (Some (Util.Json.String "u"))
+              = Some (Util.Json.String "cmd"))));
+    case "the bridge and a serve loop share the line envelope" (fun () ->
+        let text =
+          String.concat "\n"
+            [
+              {|{not json|};
+              {|{"id": "u", "cmd": "nope"}|};
+              {|{"id": "q", "cmd": "quit"}|};
+              {|{"id": "after", "cmd": "quit"}|};
+            ]
+          ^ "\n"
+        in
+        let served =
+          through_pipe text (fun input output ->
+              Service.Serve.run (Unix.in_channel_of_descr input) output)
+        in
+        check_int "serve answers up to quit" 3 (List.length served);
+        with_router [| ok_worker |] (fun router ->
+            check_lines "identical answers" served (bridge router text)));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -1447,6 +1580,7 @@ let suites =
     ("fleet.traffic", traffic_tests);
     ("fleet.cache_contention", cache_contention_tests);
     ("fleet.router", router_tests);
+    ("fleet.bridge", bridge_tests);
     ("fleet.chaos", chaos_tests);
     ("fleet.supervisor", supervisor_tests);
     ("fleet.stability", stability_tests);
